@@ -187,17 +187,6 @@ def _lp_kernel_metrics(path: str) -> dict[str, dict]:
     finished problems stop freezing, and any fallback means the kernel
     stopped handling its own workload.  Timings/speedups are
     informational.
-
-    The same artifact carries the deferred-queue smoke probe
-    (``"lp_queue"``): per-point queue counters plus the headline
-    ``lp.median_stacked_group_size`` — the LP-weighted median size of
-    the groups the stacked kernel executed, merged over the probe's
-    workload points.  That metric carries an absolute ``floor`` of 8
-    (the stacking crossover, ``repro.lp.solver.MIN_STACK_GROUP``):
-    besides the usual relative-regression check, the compare fails
-    whenever the current value sinks below the floor, however the
-    baseline moves — the metric is 0.0 when the kernel never engages,
-    so a queue that stops feeding the kernel fails loudly.
     """
     doc = _load(path)
     metrics: dict[str, dict] = {}
@@ -216,44 +205,6 @@ def _lp_kernel_metrics(path: str) -> dict[str, dict]:
         metrics[f"{tag}.speedup"] = {
             "value": point["speedup"], "direction": "higher",
             "tolerance": DEFAULT_TOLERANCE, "gate": False}
-    queue = doc.get("lp_queue")
-    if queue:
-        for point in queue.get("points", []):
-            tag = (f"lpqueue.{point['shape']}"
-                   f".t{point['num_tables']}p{point['num_params']}")
-            metrics[f"{tag}.lps_solved"] = {
-                "value": point["lps_solved"], "direction": "lower",
-                "tolerance": DEFAULT_TOLERANCE, "gate": True}
-            # Deterministic queue counters: enqueued and batch_solves
-            # shrinking means the deferred path (or the stacked kernel
-            # behind it) is silently disengaging.
-            metrics[f"{tag}.queue_enqueued"] = {
-                "value": point["queue_enqueued"], "direction": "higher",
-                "tolerance": DEFAULT_TOLERANCE, "gate": True}
-            metrics[f"{tag}.batch_solves"] = {
-                "value": point["batch_solves"], "direction": "higher",
-                "tolerance": DEFAULT_TOLERANCE, "gate": True}
-            metrics[f"{tag}.median_stacked_group_size"] = {
-                "value": point["median_stacked_group_size"],
-                "direction": "higher", "tolerance": DEFAULT_TOLERANCE,
-                "gate": True}
-            # Flush-cause mix is descriptive (legitimate restructurings
-            # move flushes between causes), so tracked but ungated.
-            for cause in ("flush_size", "flush_demand",
-                          "flush_explicit"):
-                metrics[f"{tag}.{cause}"] = {
-                    "value": point[cause], "direction": "lower",
-                    "tolerance": DEFAULT_TOLERANCE, "gate": False}
-            metrics[f"{tag}.emptiness_lp_seconds"] = {
-                "value": point["emptiness_lp_seconds"],
-                "direction": "lower", "tolerance": DEFAULT_TOLERANCE,
-                "gate": False}
-        # The headline gate: floor 8 == repro.lp.solver.MIN_STACK_GROUP
-        # (the stacking crossover).
-        metrics["lp.median_stacked_group_size"] = {
-            "value": queue["median_stacked_group_size"],
-            "direction": "higher", "tolerance": DEFAULT_TOLERANCE,
-            "gate": True, "floor": 8.0}
     return metrics
 
 
@@ -314,8 +265,9 @@ def _store_metrics(path: str) -> dict[str, dict]:
 
     The store bench replays recurring query families with drifting
     statistics (CRC-seeded, so every counter is deterministic).  Three
-    absolute floors ride on top of the usual relative gates, with the
-    same semantics as ``lp.median_stacked_group_size``:
+    absolute floors ride on top of the usual relative gates (the compare
+    fails whenever the current value sinks below a floor, however the
+    baseline moves):
 
     * ``store.hit_rate`` (floor 1.0) — a repeated identical query must
       *always* be an exact store hit; any miss means the persistent

@@ -17,15 +17,6 @@ The per-LP timings and the speedup column are informational — they show
 the kernel's crossover point (the product routes only miss groups of
 ``repro.lp.solver.MIN_STACK_GROUP`` or more through the kernel).
 
-The artifact also carries the *deferred-queue smoke probe*
-(:func:`repro.bench.run_lp_queue_probe`): full optimizer runs on the
-smoke workload under the accelerated engine, reporting the queue
-counters (LPs deferred, flush causes) and the LP-weighted median
-stacked-group size.  CI holds the cross-point median at or above the
-stacking crossover via the floored ``lp.median_stacked_group_size``
-gate — the loud failure mode for "the queue stopped feeding the stacked
-kernel" (see ``docs/counters.md``).
-
 Run under pytest-benchmark::
 
     pytest benchmarks/bench_lp_kernels.py --benchmark-only
@@ -43,9 +34,7 @@ import json
 
 import pytest
 
-from repro.bench import (format_lp_kernel_table, run_lp_kernel_sweep,
-                         run_lp_queue_probe)
-from repro.lp.solver import MIN_STACK_GROUP
+from repro.bench import format_lp_kernel_table, run_lp_kernel_sweep
 
 #: Shapes swept by the pytest entry point (CI smoke friendly).
 SMOKE_SHAPES = ((3, 8), (4, 14), (6, 24))
@@ -64,19 +53,6 @@ def test_lp_kernel_sweep(benchmark, shape):
     assert all(0.0 < point.occupancy <= 1.0 for point in points)
     benchmark.extra_info["lp_kernels"] = [point.as_dict()
                                           for point in points]
-
-
-def test_lp_queue_probe(benchmark):
-    def run():
-        return run_lp_queue_probe()
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    # The queue must actually defer work at every probed point, and the
-    # typical LP the stacked kernel sees must travel in a group at or
-    # above the stacking crossover.
-    assert all(point.queue_enqueued > 0 for point in report.points)
-    assert report.median_stacked_group_size >= MIN_STACK_GROUP
-    benchmark.extra_info["lp_queue"] = report.as_dict()
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -103,21 +79,10 @@ def main() -> None:
                                  batch_sizes=args.batches,
                                  repeats=args.repeats)
     print(format_lp_kernel_table(points))
-    queue_report = run_lp_queue_probe()
-    print(f"\ndeferred-queue smoke probe "
-          f"(median stacked-group size "
-          f"{queue_report.median_stacked_group_size:g}):")
-    for point in queue_report.points:
-        print(f"  {point.shape} t{point.num_tables}p{point.num_params}: "
-              f"enqueued={point.queue_enqueued} "
-              f"flushes size/demand/explicit={point.flush_size}"
-              f"/{point.flush_demand}/{point.flush_explicit} "
-              f"median={point.median_stacked_group_size:g}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump({"lp_kernels": [point.as_dict()
-                                      for point in points],
-                       "lp_queue": queue_report.as_dict()},
+                                      for point in points]},
                       handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json}")

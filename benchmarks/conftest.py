@@ -38,12 +38,6 @@ def optimize_and_record(benchmark, point: SweepPoint,
         "batch_lp_solves": measurement.batch_lp_solves,
         "batch_lp_fallbacks": measurement.batch_lp_fallbacks,
         "batch_lp_occupancy": measurement.batch_lp_occupancy,
-        "lp_queue_enqueued": measurement.lp_queue_enqueued,
-        "lp_queue_flush_size": measurement.lp_queue_flush_size,
-        "lp_queue_flush_demand": measurement.lp_queue_flush_demand,
-        "lp_queue_flush_explicit": measurement.lp_queue_flush_explicit,
-        "lp_median_stacked_group_size":
-            measurement.lp_median_stacked_group_size,
     })
     return measurement
 

@@ -62,16 +62,6 @@ class Measurement:
             scalar path.
         batch_lp_occupancy: Mean fraction of each stacked group still
             pivoting per lockstep round.
-        lp_queue_enqueued: LPs routed through the deferred futures queue
-            (0 under eager/scalar dispatch).
-        lp_queue_flush_size: Queue flushes triggered by a bucket
-            reaching the flush size.
-        lp_queue_flush_demand: Queue flushes triggered by a demanded
-            ``result()``.
-        lp_queue_flush_explicit: Explicit end-of-scope queue flushes.
-        lp_median_stacked_group_size: LP-weighted median size of the
-            groups the stacked kernel executed (0.0 when it never
-            engaged).
     """
 
     point: SweepPoint
@@ -85,11 +75,6 @@ class Measurement:
     batch_lp_solves: int = 0
     batch_lp_fallbacks: int = 0
     batch_lp_occupancy: float = 0.0
-    lp_queue_enqueued: int = 0
-    lp_queue_flush_size: int = 0
-    lp_queue_flush_demand: int = 0
-    lp_queue_flush_explicit: int = 0
-    lp_median_stacked_group_size: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -137,13 +122,7 @@ def run_query_measurement(query, point: SweepPoint,
                        batch_lp_rounds=stats.batch_lp_rounds,
                        batch_lp_solves=stats.batch_lp_solves,
                        batch_lp_fallbacks=stats.batch_lp_fallbacks,
-                       batch_lp_occupancy=stats.batch_lp_occupancy,
-                       lp_queue_enqueued=stats.lp_queue_enqueued,
-                       lp_queue_flush_size=stats.lp_queue_flush_size,
-                       lp_queue_flush_demand=stats.lp_queue_flush_demand,
-                       lp_queue_flush_explicit=stats.lp_queue_flush_explicit,
-                       lp_median_stacked_group_size=(
-                           stats.lp_median_stacked_group_size))
+                       batch_lp_occupancy=stats.batch_lp_occupancy)
 
 
 def run_point(point: SweepPoint, queries_per_point: int,
@@ -311,140 +290,6 @@ def run_lp_kernel_sweep(shapes: tuple[tuple[int, int], ...] = (
                 stacked_seconds=stacked,
                 speedup=scalar / stacked if stacked > 0 else float("inf")))
     return points
-
-
-# ----------------------------------------------------------------------
-# Deferred-queue smoke probe
-# ----------------------------------------------------------------------
-
-#: Smoke workload points probed by :func:`run_lp_queue_probe` — the
-#: QUICK profile's heaviest one- and two-parameter points, where region
-#: maintenance issues enough emptiness work for the queue to batch.
-LP_QUEUE_SMOKE_POINTS = (
-    SweepPoint(num_tables=5, shape="chain", num_params=1, resolution=2),
-    SweepPoint(num_tables=4, shape="star", num_params=1, resolution=2),
-    SweepPoint(num_tables=4, shape="chain", num_params=2, resolution=1),
-)
-
-
-@dataclass(frozen=True)
-class LPQueuePoint:
-    """Deferred-queue counters for one smoke workload point.
-
-    All counter fields are deterministic (stable CRC-seeded queries,
-    counter-identical queue dispatch), so they join the gated CI perf
-    baseline; the timing fields are informational.
-
-    Attributes:
-        num_tables / shape / num_params / resolution: The sweep point.
-        lps_solved: Linear programs solved during the run.
-        queue_enqueued: LPs routed through the deferred futures queue.
-        flush_size / flush_demand / flush_explicit: Queue flushes by
-            trigger (bucket reached the flush size / a ``result()`` was
-            demanded / explicit end-of-scope drain).
-        batch_solves: LPs answered by the stacked kernel.
-        median_stacked_group_size: LP-weighted median size of the
-            groups the stacked kernel executed at this point.
-        emptiness_lp_seconds: LP wall time of the region-emptiness cost
-            center (informational).
-        seconds: Optimization wall-clock time (informational).
-    """
-
-    num_tables: int
-    shape: str
-    num_params: int
-    resolution: int
-    lps_solved: int
-    queue_enqueued: int
-    flush_size: int
-    flush_demand: int
-    flush_explicit: int
-    batch_solves: int
-    median_stacked_group_size: float
-    emptiness_lp_seconds: float
-    seconds: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (used by the CI bench artifact)."""
-        return {"num_tables": self.num_tables, "shape": self.shape,
-                "num_params": self.num_params,
-                "resolution": self.resolution,
-                "lps_solved": self.lps_solved,
-                "queue_enqueued": self.queue_enqueued,
-                "flush_size": self.flush_size,
-                "flush_demand": self.flush_demand,
-                "flush_explicit": self.flush_explicit,
-                "batch_solves": self.batch_solves,
-                "median_stacked_group_size":
-                    self.median_stacked_group_size,
-                "emptiness_lp_seconds": self.emptiness_lp_seconds,
-                "seconds": self.seconds}
-
-
-@dataclass(frozen=True)
-class LPQueueReport:
-    """Queue probe results plus the cross-point headline median.
-
-    Attributes:
-        points: Per-workload-point counters.
-        median_stacked_group_size: LP-weighted median stacked-group size
-            over the *merged* histogram of all probed points — the
-            number the CI gate holds at or above the stacking crossover
-            (``lp.median_stacked_group_size``).
-    """
-
-    points: tuple[LPQueuePoint, ...]
-    median_stacked_group_size: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (used by the CI bench artifact)."""
-        return {"points": [point.as_dict() for point in self.points],
-                "median_stacked_group_size":
-                    self.median_stacked_group_size}
-
-
-def run_lp_queue_probe(points: tuple[SweepPoint, ...]
-                       = LP_QUEUE_SMOKE_POINTS,
-                       base_seed: int = 0) -> LPQueueReport:
-    """Measure the deferred LP queue on the smoke workload.
-
-    Runs one CRC-seeded query per point through the *accelerated*
-    engine (default :class:`PWLRRPAOptions` — the deferred queue and
-    the stacked kernel need the memo/vectorized path, which
-    :data:`PAPER_FAITHFUL` disables on purpose) and reports the queue
-    counters: how many LPs were deferred, what triggered their flushes,
-    and the LP-weighted median size of the groups the stacked kernel
-    executed.  All counters are deterministic, so they gate in CI.
-    """
-    from ..lp import LPStats
-
-    merged = LPStats()
-    probe_points = []
-    for point in points:
-        query = queries_for_point(point, 1, base_seed=base_seed)[0]
-        optimizer = PWLRRPA(
-            cost_model_factory=lambda q, point=point: CloudCostModel(
-                q, resolution=point.resolution),
-            options=PWLRRPAOptions())
-        result = optimizer.optimize(query)
-        stats = result.stats
-        merged.merge(stats.lp_stats)
-        probe_points.append(LPQueuePoint(
-            num_tables=point.num_tables, shape=point.shape,
-            num_params=point.num_params, resolution=point.resolution,
-            lps_solved=stats.lps_solved,
-            queue_enqueued=stats.lp_queue_enqueued,
-            flush_size=stats.lp_queue_flush_size,
-            flush_demand=stats.lp_queue_flush_demand,
-            flush_explicit=stats.lp_queue_flush_explicit,
-            batch_solves=stats.batch_lp_solves,
-            median_stacked_group_size=(
-                stats.lp_median_stacked_group_size),
-            emptiness_lp_seconds=stats.emptiness_lp_seconds,
-            seconds=stats.optimization_seconds))
-    return LPQueueReport(
-        points=tuple(probe_points),
-        median_stacked_group_size=merged.median_stacked_group_size())
 
 
 # ----------------------------------------------------------------------

@@ -97,11 +97,8 @@ class RRPABackend(ABC):
     def regions_empty_many(self, regions: Sequence[Any]) -> list[bool]:
         """:meth:`region_is_empty` for a batch of independent regions.
 
-        The default delegates to the per-region check; backends whose
-        emptiness tests bottom out in LPs (see :class:`repro.core
-        .pwl_backend.PWLBackend`) override this to drive the checks in
-        lockstep so their LPs batch.  Results — and any stats the
-        per-region check records — must equal the sequential loop's.
+        Delegates to the per-region check; an override must return the
+        sequential loop's results and record the same stats.
         """
         return [self.region_is_empty(region) for region in regions]
 

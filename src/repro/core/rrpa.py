@@ -136,9 +136,7 @@ def prune_into(backend: RRPABackend, entries: list[PlanEntry],
                 return
     # The new plan is relevant somewhere: displace dominated incumbents.
     # Reductions are LP-free (they only record cutouts), so apply them
-    # all first and then decide every incumbent's emptiness in one
-    # lockstep pass — each region's check is an independent LP chain,
-    # which is exactly the shape the deferred queue batches across.
+    # all first and then decide every incumbent's emptiness.
     survivors = []
     dom_lists = backend.dominance_many_rev(
         new_cost, [old.cost for old in entries])

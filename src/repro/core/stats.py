@@ -90,26 +90,6 @@ class OptimizerStats:
         return self.lp_stats.batch_occupancy()
 
     @property
-    def lp_queue_enqueued(self) -> int:
-        """LPs routed through the deferred futures queue."""
-        return self.lp_stats.queue_enqueued
-
-    @property
-    def lp_queue_flush_size(self) -> int:
-        """Queue flushes triggered by a bucket reaching the flush size."""
-        return self.lp_stats.queue_flush_size
-
-    @property
-    def lp_queue_flush_demand(self) -> int:
-        """Queue flushes triggered by a demanded ``result()``."""
-        return self.lp_stats.queue_flush_demand
-
-    @property
-    def lp_queue_flush_explicit(self) -> int:
-        """Queue flushes requested via an explicit ``flush()`` call."""
-        return self.lp_stats.queue_flush_explicit
-
-    @property
     def lp_median_stacked_group_size(self) -> float:
         """LP-weighted median size of the stacked kernel's groups."""
         return self.lp_stats.median_stacked_group_size()
@@ -132,10 +112,6 @@ class OptimizerStats:
             "batch_lp_solves": self.batch_lp_solves,
             "batch_lp_fallbacks": self.batch_lp_fallbacks,
             "batch_lp_occupancy": self.batch_lp_occupancy,
-            "lp_queue_enqueued": self.lp_queue_enqueued,
-            "lp_queue_flush_size": self.lp_queue_flush_size,
-            "lp_queue_flush_demand": self.lp_queue_flush_demand,
-            "lp_queue_flush_explicit": self.lp_queue_flush_explicit,
             "lp_median_stacked_group_size": self.lp_median_stacked_group_size,
             "optimization_seconds": self.optimization_seconds,
         }

@@ -28,10 +28,9 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatchError, EmptyRegionError
-from ..geometry import (ConvexPolytope, LinearConstraint,
-                        emptiness_many_deferred)
+from ..geometry import ConvexPolytope, LinearConstraint, emptiness_many
 from ..lp import LinearProgramSolver
-from ..util import deferred_lp_enabled, scalar_kernels_enabled
+from ..util import scalar_kernels_enabled
 from .linear import LinearPiece
 
 
@@ -193,12 +192,7 @@ class PiecewiseLinearFunction:
                  + np.array([p.b for p in other.pieces])[None, :])
         regions = [p1.region.intersect(p2.region)
                    for p1 in self.pieces for p2 in other.pieces]
-        # One deferred pass: the whole pair grid enqueues before the
-        # first answer is demanded, so these LPs co-flush with anything
-        # already pending in the queue (eager dispatch degrades to the
-        # plain batched helper).
-        empty = [lazy.get()
-                 for lazy in emptiness_many_deferred(regions, solver)]
+        empty = emptiness_many(regions, solver)
         pieces = []
         for idx, region in enumerate(regions):
             if empty[idx]:
@@ -316,8 +310,7 @@ class PiecewiseLinearFunction:
         """
         pairs = [(p1, p2) for p1 in self.pieces for p2 in other.pieces]
         overlaps = [p1.region.intersect(p2.region) for p1, p2 in pairs]
-        overlap_empty = [lazy.get() for lazy in
-                         emptiness_many_deferred(overlaps, solver)]
+        overlap_empty = emptiness_many(overlaps, solver)
         halves: list[ConvexPolytope] = []
         survivors: list[tuple[LinearPiece, LinearPiece]] = []
         for (p1, p2), overlap, empty in zip(pairs, overlaps,
@@ -332,8 +325,7 @@ class PiecewiseLinearFunction:
             halves.append(overlap.with_constraint(
                 LinearConstraint.make(-diff_w, -diff_b)))
             survivors.append((p1, p2))
-        half_empty = [lazy.get() for lazy in
-                      emptiness_many_deferred(halves, solver)]
+        half_empty = emptiness_many(halves, solver)
         pieces: list[LinearPiece] = []
         for pair_index, (p1, p2) in enumerate(survivors):
             p1_le, p2_le = halves[2 * pair_index:2 * pair_index + 2]
@@ -379,8 +371,7 @@ class PiecewiseLinearFunction:
         if scalar_kernels_enabled():
             empty = [overlap.is_empty(solver) for overlap in overlaps]
         else:
-            empty = [lazy.get() for lazy in
-                     emptiness_many_deferred(overlaps, solver)]
+            empty = emptiness_many(overlaps, solver)
         live = [(piece, overlap)
                 for piece, overlap, is_empty in zip(self.pieces, overlaps,
                                                     empty)
@@ -402,13 +393,7 @@ class PiecewiseLinearFunction:
                                  overlap._a, overlap._b, None))
                 problems.append((-np.asarray(piece.w, dtype=float),
                                  overlap._a, overlap._b, None))
-            if deferred_lp_enabled():
-                queue = solver.deferred_queue()
-                futures = [queue.enqueue(*problem, purpose="bounds")
-                           for problem in problems]
-                results = [future.result() for future in futures]
-            else:
-                results = solver.solve_many(problems, purpose="bounds")
+            results = solver.solve_many(problems, purpose="bounds")
         lo, hi = np.inf, -np.inf
         bounded = False
         for index, (piece, __) in enumerate(live):

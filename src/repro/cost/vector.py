@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError
 from ..geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
-                        emptiness_many, emptiness_many_deferred)
+                        emptiness_many)
 from ..lp import LinearProgramSolver
 from ..util import scalar_kernels_enabled
 from .linear import LinearPiece
@@ -269,14 +269,13 @@ class MultiObjectivePWL:
                 polys.append(candidate)
             elif batch_lps:
                 # Genuinely mixed cell: hold its slot, decide all the
-                # mixed cells' emptiness LPs in one deferred pass below.
+                # mixed cells' emptiness LPs in one batched pass below.
                 polys.append(None)
                 undecided.append(candidate)
             elif not candidate.is_empty(solver):
                 polys.append(candidate)
         if undecided:
-            empty = [lazy.get() for lazy in
-                     emptiness_many_deferred(undecided, solver)]
+            empty = emptiness_many(undecided, solver)
             decided = iter(zip(undecided, empty))
             resolved: list[ConvexPolytope] = []
             for entry in polys:
@@ -562,13 +561,12 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
                 else:
                     # Rare mixed cell: hold its slot and decide every
                     # batch member's leftover emptiness LPs in one
-                    # deferred pass below.
+                    # batched pass below.
                     polys.append(None)
                     undecided.append(candidate)
         results.append(polys)
     if undecided:
-        empty = [lazy.get() for lazy in
-                 emptiness_many_deferred(undecided, solver)]
+        empty = emptiness_many(undecided, solver)
         decided = iter(zip(undecided, empty))
         resolved_results: list[list[ConvexPolytope]] = []
         for polys in results:

@@ -13,29 +13,12 @@ from the parameter space leaves nothing (up to measure zero).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from ..lp import LinearProgramSolver
 from ..util import scalar_kernels_enabled
-from .batchops import (emptiness_many_deferred, has_interior_many_deferred)
+from .batchops import emptiness_many, has_interior_many
 from .polytope import INTERIOR_EPS, ConvexPolytope
-
-
-def exhaust(gen: Iterator):
-    """Drive a pass-structured generator to completion, returning its value.
-
-    The geometry generators below ``yield`` between *enqueueing* a pass's
-    LPs into the deferred queue and *demanding* their answers, so a
-    lockstep driver (:func:`repro.geometry.region.regions_empty_many`)
-    can interleave many of them and let same-pass LPs co-flush.  Calling
-    sites that only have one instance use this helper to run it alone —
-    the demands then simply flush whatever accumulated.
-    """
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
 
 
 def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
@@ -85,74 +68,6 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
     return pieces
 
 
-def subtract_polytope_many_iter(bases: Sequence[ConvexPolytope],
-                                cut: ConvexPolytope,
-                                solver: LinearProgramSolver,
-                                interior_eps: float = INTERIOR_EPS
-                                ) -> Iterator:
-    """Pass-structured generator form of :func:`subtract_polytope_many`.
-
-    Runs the same three batched passes, but *enqueues* each pass's LPs
-    into the solver's deferred queue, ``yield``\\ s, and demands the
-    answers only on resumption.  A lockstep driver advancing many of
-    these generators therefore gets all their same-pass LPs into the
-    queue before any is demanded — that is where the stacked kernel's
-    real batches come from.  Returns (via ``StopIteration.value`` /
-    ``yield from``) exactly the list :func:`subtract_polytope_many`
-    returns.  With ``REPRO_SCALAR_KERNELS=1`` the scalar loop runs
-    instead and the generator finishes on first advance.
-    """
-    if scalar_kernels_enabled():
-        return [subtract_polytope(base, cut, solver,
-                                  interior_eps=interior_eps)
-                for base in bases]
-    for base in bases:
-        if cut.dim != base.dim:
-            raise ValueError("dimension mismatch in polytope subtraction")
-    results: list[list[ConvexPolytope] | None] = [None] * len(bases)
-    empty = emptiness_many_deferred(bases, solver)
-    yield
-    live: list[int] = []
-    for i in range(len(bases)):
-        if empty[i].get():
-            results[i] = []
-        elif not cut.constraints:
-            # Subtracting the universe leaves nothing.
-            results[i] = []
-        else:
-            live.append(i)
-    # Fast path: cuts that miss a base entirely leave it unchanged.
-    overlaps = [bases[i].intersect(cut) for i in live]
-    overlap_interior = has_interior_many_deferred(overlaps, solver,
-                                                  eps=interior_eps)
-    yield
-    clipped: list[int] = []
-    for i, lazy in zip(live, overlap_interior):
-        if lazy.get():
-            clipped.append(i)
-        else:
-            results[i] = [bases[i]]
-    # Candidate pieces of every clipped base, in the scalar path's order:
-    # piece_k keeps the points violating cut constraint k while satisfying
-    # constraints 0..k-1.  Construction is LP-free; one batched interior
-    # pass decides which candidates survive.
-    candidates: list[ConvexPolytope] = []
-    spans: list[tuple[int, int, int]] = []  # (base index, start, stop)
-    for i in clipped:
-        start = len(candidates)
-        prefix = bases[i]
-        for constraint in cut.constraints:
-            candidates.append(prefix.with_constraint(constraint.negation()))
-            prefix = prefix.with_constraint(constraint)
-        spans.append((i, start, len(candidates)))
-    keep = has_interior_many_deferred(candidates, solver, eps=interior_eps)
-    yield
-    for i, start, stop in spans:
-        results[i] = [candidates[k] for k in range(start, stop)
-                      if keep[k].get()]
-    return [pieces if pieces is not None else [] for pieces in results]
-
-
 def subtract_polytope_many(bases: Sequence[ConvexPolytope],
                            cut: ConvexPolytope,
                            solver: LinearProgramSolver,
@@ -173,15 +88,52 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     every candidate piece directly, so those LPs disappear entirely
     (pieces past a scalar early-exit lie inside an empty prefix and are
     dropped by their own interior check, leaving the results identical).
-    With ``REPRO_SCALAR_KERNELS=1`` the scalar path runs instead.  Under
-    deferred dispatch (:func:`repro.util.deferred_lp_enabled`) the passes
-    route through the deferred queue; callers that hold several
-    independent subtractions should drive
-    :func:`subtract_polytope_many_iter` generators in lockstep instead
-    of calling this per subtraction.
+    With ``REPRO_SCALAR_KERNELS=1`` the scalar path runs instead.
     """
-    return exhaust(subtract_polytope_many_iter(
-        bases, cut, solver, interior_eps=interior_eps))
+    if scalar_kernels_enabled():
+        return [subtract_polytope(base, cut, solver,
+                                  interior_eps=interior_eps)
+                for base in bases]
+    for base in bases:
+        if cut.dim != base.dim:
+            raise ValueError("dimension mismatch in polytope subtraction")
+    results: list[list[ConvexPolytope] | None] = [None] * len(bases)
+    empty = emptiness_many(bases, solver)
+    live: list[int] = []
+    for i in range(len(bases)):
+        if empty[i]:
+            results[i] = []
+        elif not cut.constraints:
+            # Subtracting the universe leaves nothing.
+            results[i] = []
+        else:
+            live.append(i)
+    # Fast path: cuts that miss a base entirely leave it unchanged.
+    overlaps = [bases[i].intersect(cut) for i in live]
+    overlap_interior = has_interior_many(overlaps, solver, eps=interior_eps)
+    clipped: list[int] = []
+    for i, interior in zip(live, overlap_interior):
+        if interior:
+            clipped.append(i)
+        else:
+            results[i] = [bases[i]]
+    # Candidate pieces of every clipped base, in the scalar path's order:
+    # piece_k keeps the points violating cut constraint k while satisfying
+    # constraints 0..k-1.  Construction is LP-free; one batched interior
+    # pass decides which candidates survive.
+    candidates: list[ConvexPolytope] = []
+    spans: list[tuple[int, int, int]] = []  # (base index, start, stop)
+    for i in clipped:
+        start = len(candidates)
+        prefix = bases[i]
+        for constraint in cut.constraints:
+            candidates.append(prefix.with_constraint(constraint.negation()))
+            prefix = prefix.with_constraint(constraint)
+        spans.append((i, start, len(candidates)))
+    keep = has_interior_many(candidates, solver, eps=interior_eps)
+    for i, start, stop in spans:
+        results[i] = [candidates[k] for k in range(start, stop) if keep[k]]
+    return [pieces if pieces is not None else [] for pieces in results]
 
 
 def subtract_polytopes(base: ConvexPolytope,
@@ -206,33 +158,12 @@ def subtract_polytopes(base: ConvexPolytope,
         Convex pieces covering ``base`` minus the union of ``cuts`` (up to
         measure zero).
     """
-    return exhaust(subtract_polytopes_iter(
-        base, cuts, solver, interior_eps=interior_eps,
-        stop_when_empty=stop_when_empty))
-
-
-def subtract_polytopes_iter(base: ConvexPolytope,
-                            cuts: Iterable[ConvexPolytope],
-                            solver: LinearProgramSolver,
-                            interior_eps: float = INTERIOR_EPS,
-                            stop_when_empty: bool = True) -> Iterator:
-    """Generator form of :func:`subtract_polytopes`.
-
-    Yields at every pass boundary of every per-cut subtraction (see
-    :func:`subtract_polytope_many_iter`), so lockstep drivers can
-    co-flush the cut chains of many independent regions.  Cut chains are
-    genuinely sequential *within* one region — each cut subtracts from
-    the pieces the previous one left — which is exactly why batching
-    across regions, not within one, is where the group sizes are.
-    """
-    base_empty = emptiness_many_deferred([base], solver)[0]
-    yield
-    pieces = [base] if not base_empty.get() else []
+    pieces = [] if emptiness_many([base], solver)[0] else [base]
     for cut in cuts:
         if not pieces and stop_when_empty:
             return []
-        groups = yield from subtract_polytope_many_iter(
-            pieces, cut, solver, interior_eps=interior_eps)
+        groups = subtract_polytope_many(pieces, cut, solver,
+                                        interior_eps=interior_eps)
         pieces = [piece for group in groups for piece in group]
     return pieces
 

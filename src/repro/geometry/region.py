@@ -32,10 +32,8 @@ import numpy as np
 
 from ..errors import DimensionMismatchError
 from ..lp import LinearProgramSolver
-from .batchops import emptiness_many_deferred
 from .convexity import union_as_polytope
-from .difference import (exhaust, subtract_polytope_many_iter,
-                         subtract_polytopes, subtract_polytopes_iter)
+from .difference import subtract_polytope_many, subtract_polytopes
 from .polytope import INTERIOR_EPS, ConvexPolytope
 
 #: Emptiness-check strategies accepted by :meth:`RelevanceRegion.is_empty`.
@@ -223,22 +221,8 @@ class RelevanceRegion:
         subtract the cutouts added since the previous refresh, which keeps
         the amortized cost of repeated emptiness checks low.
         """
-        exhaust(self._refresh_iter(solver, interior_eps))
-
-    def _refresh_iter(self, solver: LinearProgramSolver,
-                      interior_eps: float = INTERIOR_EPS):
-        """Generator form of :meth:`_refresh_residual`.
-
-        Yields at the pass boundaries of the underlying subtractions
-        (see :func:`repro.geometry.difference.subtract_polytope_many_iter`)
-        so :func:`regions_empty_many` can advance many regions' refreshes
-        in lockstep and co-flush their same-pass LPs.  One region's cut
-        chain stays strictly sequential — each cut subtracts from what
-        the previous one left — so across-region interleaving is the
-        only batching opportunity, and it is taken here.
-        """
         if self._residual is None:
-            self._residual = yield from subtract_polytopes_iter(
+            self._residual = subtract_polytopes(
                 self.space, self.cutouts, solver,
                 interior_eps=interior_eps)
             self._pending = []
@@ -266,8 +250,8 @@ class RelevanceRegion:
                 next_pieces.append(None)
                 touched.append(piece)
             if touched:
-                groups = iter((yield from subtract_polytope_many_iter(
-                    touched, cut, solver, interior_eps=interior_eps)))
+                groups = iter(subtract_polytope_many(
+                    touched, cut, solver, interior_eps=interior_eps))
                 flattened: list[ConvexPolytope] = []
                 for entry in next_pieces:
                     if entry is None:
@@ -278,37 +262,6 @@ class RelevanceRegion:
             self._residual = next_pieces
         if not self._residual:
             self._pending = []
-
-    def _is_empty_iter(self, solver: LinearProgramSolver,
-                       strategy: str = "difference",
-                       interior_eps: float = INTERIOR_EPS):
-        """Generator form of :meth:`is_empty` for lockstep drivers.
-
-        Returns (via ``StopIteration.value``) exactly what
-        :meth:`is_empty` returns, with the same shortcut order and cache
-        updates; LP passes go through the deferred queue so many regions'
-        checks can co-flush.  The ``"convexity"`` strategy has no batched
-        form and falls back to the eager method on first advance.
-        """
-        if self._known_empty:
-            return True
-        if self._points:
-            # Refinement 3 (Section 6.2): a surviving relevance point
-            # witnesses non-emptiness without solving any LP.
-            return False
-        if not self.cutouts:
-            lazy = emptiness_many_deferred([self.space], solver)[0]
-            yield
-            empty = lazy.get()
-            self._known_empty = empty
-            return empty
-        if strategy == "difference":
-            yield from self._refresh_iter(solver, interior_eps)
-            if not self._residual:
-                self._known_empty = True
-            return self._known_empty
-        return self.is_empty(solver, strategy=strategy,
-                             interior_eps=interior_eps)
 
     def witness(self, solver: LinearProgramSolver,
                 interior_eps: float = INTERIOR_EPS) -> np.ndarray | None:
@@ -362,35 +315,7 @@ def regions_empty_many(regions: Sequence[RelevanceRegion],
                        solver: LinearProgramSolver, *,
                        strategy: str = "difference",
                        interior_eps: float = INTERIOR_EPS) -> list[bool]:
-    """Decide emptiness of many regions with lockstep-batched LPs.
-
-    Semantically identical to ``[r.is_empty(solver, ...) for r in
-    regions]`` — same answers, same caches filled, same LP multiset —
-    but advances all the regions' :meth:`RelevanceRegion._is_empty_iter`
-    generators round-robin: every round, each still-running region
-    enqueues its next LP pass into the deferred queue before any region
-    demands an answer.  Independent regions' same-round LPs therefore
-    flush together, which is what feeds the stacked simplex kernel
-    groups wide enough to engage (each region alone is a dependent LP
-    chain that no amount of within-region batching can widen).
-
-    Under eager dispatch (``REPRO_DEFERRED_LP=0`` or the scalar oracle)
-    the generators resolve their passes immediately and this degrades to
-    the sequential loop.
-    """
-    gens = [region._is_empty_iter(solver, strategy=strategy,
-                                  interior_eps=interior_eps)
+    """Decide emptiness of many regions: ``is_empty`` on each in turn."""
+    return [region.is_empty(solver, strategy=strategy,
+                            interior_eps=interior_eps)
             for region in regions]
-    results: list[bool | None] = [None] * len(gens)
-    active = list(range(len(gens)))
-    while active:
-        still_running: list[int] = []
-        for index in active:
-            try:
-                next(gens[index])
-            except StopIteration as stop:
-                results[index] = stop.value
-            else:
-                still_running.append(index)
-        active = still_running
-    return results

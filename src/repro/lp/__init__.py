@@ -11,13 +11,8 @@ Public API:
 * :func:`solve_simplex_batch` / :func:`standard_form` — the stacked
   kernel itself: same-shape LPs pivoted in lockstep 3-D NumPy tableaus,
   bit-identical to the scalar simplex (see :mod:`repro.lp.batch_simplex`).
-* :class:`DeferredLPQueue` / :class:`LPFuture` / :class:`LazyValue` — the
-  deferred-flush futures queue: call sites enqueue LPs instead of solving
-  eagerly, and the queue flushes whole stacking groups through
-  ``solve_many`` so the stacked kernel sees real batches (see
-  :mod:`repro.lp.futures` and ``docs/lp-substrate.md``).
-* :func:`stack_prekey` — the conversion-free grouping key shared by
-  ``solve_many``'s miss grouping and the queue's accumulation buckets.
+* :func:`stack_prekey` — the conversion-free grouping key of
+  ``solve_many``'s miss groups.
 * :class:`LPResult` — solve outcome.
 * :class:`LPResultCache` — bounded LRU memo over canonicalized LP inputs.
 * :func:`install_shared_lp_cache` / :func:`shared_lp_cache` — process-wide
@@ -32,7 +27,6 @@ Public API:
 from .batch_simplex import (BatchReport, StandardForm, solve_simplex_batch,
                             standard_form)
 from .counters import LPStats, default_stats
-from .futures import QUEUE_FLUSH_SIZE, DeferredLPQueue, LazyValue, LPFuture
 from .simplex import SimplexResult, solve_simplex
 from .solver import (LinearProgramSolver, LPResult, LPResultCache,
                      install_shared_lp_cache, make_solver, shared_lp_cache,
@@ -40,14 +34,10 @@ from .solver import (LinearProgramSolver, LPResult, LPResultCache,
 
 __all__ = [
     "BatchReport",
-    "DeferredLPQueue",
-    "LPFuture",
     "LPResult",
     "LPResultCache",
     "LPStats",
-    "LazyValue",
     "LinearProgramSolver",
-    "QUEUE_FLUSH_SIZE",
     "SimplexResult",
     "StandardForm",
     "default_stats",

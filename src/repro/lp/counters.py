@@ -39,15 +39,6 @@ class LPStats:
             (occupancy denominator).
         batch_fallbacks: Problems the stacked kernel flagged back to the
             per-problem scalar/scipy path (numerically nasty stragglers).
-        queue_enqueued: LPs enqueued into a deferred futures queue
-            (:mod:`repro.lp.futures`) instead of being solved eagerly.
-        queue_flush_size: Queue flushes triggered by a stacking group
-            reaching the crossover size (the productive kind: the group
-            is wide enough for the stacked kernel).
-        queue_flush_demand: Flushes triggered by a future's ``result()``
-            being demanded before its group filled up.
-        queue_flush_explicit: Flushes requested via an explicit
-            ``flush()`` call (end-of-scope drains).
     """
 
     solved: int = 0
@@ -63,20 +54,10 @@ class LPStats:
     batch_active_rounds: int = 0
     batch_round_slots: int = 0
     batch_fallbacks: int = 0
-    queue_enqueued: int = 0
-    queue_flush_size: int = 0
-    queue_flush_demand: int = 0
-    queue_flush_explicit: int = 0
-    #: Histogram of stacking-group sizes — for every ``solve_many`` call,
-    #: the post-dedupe miss set is grouped by conversion-free stacking
-    #: pre-key and each group's size is recorded here (size -> count).
-    #: This is the quantity the deferred queue exists to push up: groups
-    #: below ``MIN_STACK_GROUP`` never reach the stacked kernel.
-    _group_sizes: dict[int, int] = field(default_factory=dict)
     #: Histogram of the groups the stacked kernel actually executed
     #: (size -> count), maintained by :meth:`record_batch`.  Zero entries
-    #: mean the kernel never engaged; the median over this histogram is
-    #: the headline "median stacked-group size" metric.
+    #: mean the kernel never engaged; see
+    #: :meth:`median_stacked_group_size`.
     _stacked_group_sizes: dict[int, int] = field(default_factory=dict)
     _by_purpose: dict[str, int] = field(default_factory=dict)
     _seconds_by_purpose: dict[str, float] = field(default_factory=dict)
@@ -134,41 +115,6 @@ class LPStats:
         self._stacked_group_sizes[group_size] = (
             self._stacked_group_sizes.get(group_size, 0) + 1)
 
-    def record_queue_enqueued(self, count: int = 1) -> None:
-        """Record LPs handed to a deferred futures queue."""
-        self.queue_enqueued += count
-
-    def record_queue_flush(self, cause: str) -> None:
-        """Record one deferred-queue flush event by its trigger.
-
-        Args:
-            cause: ``"size"`` (a stacking group reached the crossover),
-                ``"demand"`` (a future's result was demanded) or
-                ``"explicit"`` (a direct ``flush()`` call).
-        """
-        if cause == "size":
-            self.queue_flush_size += 1
-        elif cause == "demand":
-            self.queue_flush_demand += 1
-        elif cause == "explicit":
-            self.queue_flush_explicit += 1
-        else:
-            raise ValueError(f"unknown queue flush cause: {cause!r}")
-
-    def record_group_size(self, size: int) -> None:
-        """Record the size of one stacking pre-key group of a miss set."""
-        self._group_sizes[size] = self._group_sizes.get(size, 0) + 1
-
-    def group_size_histogram(self) -> dict[int, int]:
-        """Return a copy of the stacking-group-size histogram.
-
-        Covers *every* miss group, including the sub-crossover fragments
-        solved per problem; compare with
-        :meth:`stacked_group_size_histogram` to see how much of the LP
-        mass travels in stacked batches.
-        """
-        return dict(self._group_sizes)
-
     def stacked_group_size_histogram(self) -> dict[int, int]:
         """Return a copy of the stacked-kernel group-size histogram."""
         return dict(self._stacked_group_sizes)
@@ -199,23 +145,10 @@ class LPStats:
                 return (size + sizes[position + 1]) / 2.0
         return float(sizes[-1])
 
-    def median_group_size(self) -> float:
-        """LP-weighted median size over *all* miss groups.
-
-        Dominated by the sub-crossover fragments that control-flow
-        decision points force out of the queue (a chain that needs an
-        answer *now* cannot wait for its group to fill), so this stays
-        low even when the stacked kernel carries most of the heavy LPs;
-        see :meth:`median_stacked_group_size` for the headline metric.
-        """
-        return self._weighted_median(self._group_sizes)
-
     def median_stacked_group_size(self) -> float:
         """LP-weighted median size of the groups the stacked kernel ran.
 
-        0.0 when the kernel never engaged — the bench gate on this
-        metric therefore fails loudly if the deferred queue stops
-        feeding the kernel groups at or above the stacking crossover.
+        0.0 when the kernel never engaged.
         """
         return self._weighted_median(self._stacked_group_sizes)
 
@@ -265,11 +198,6 @@ class LPStats:
         self.batch_active_rounds = 0
         self.batch_round_slots = 0
         self.batch_fallbacks = 0
-        self.queue_enqueued = 0
-        self.queue_flush_size = 0
-        self.queue_flush_demand = 0
-        self.queue_flush_explicit = 0
-        self._group_sizes.clear()
         self._stacked_group_sizes.clear()
         self._by_purpose.clear()
         self._seconds_by_purpose.clear()
@@ -289,12 +217,6 @@ class LPStats:
         self.batch_active_rounds += other.batch_active_rounds
         self.batch_round_slots += other.batch_round_slots
         self.batch_fallbacks += other.batch_fallbacks
-        self.queue_enqueued += other.queue_enqueued
-        self.queue_flush_size += other.queue_flush_size
-        self.queue_flush_demand += other.queue_flush_demand
-        self.queue_flush_explicit += other.queue_flush_explicit
-        for key, value in other._group_sizes.items():
-            self._group_sizes[key] = self._group_sizes.get(key, 0) + value
         for key, value in other._stacked_group_sizes.items():
             self._stacked_group_sizes[key] = (
                 self._stacked_group_sizes.get(key, 0) + value)

@@ -54,10 +54,8 @@ def stack_prekey(c: np.ndarray, a_ub: np.ndarray | None, bounds) -> tuple:
     pattern)`` — a cheap over-approximation of the exact stacking
     signature (which additionally splits by artificial-column count and
     requires a standard-form conversion to compute).  Two LPs with equal
-    pre-keys *may* stack; two with different pre-keys never do.  Shared
-    by :meth:`LinearProgramSolver.solve_many`'s miss grouping and the
-    deferred futures queue's accumulation buckets
-    (:class:`repro.lp.futures.DeferredLPQueue`).
+    pre-keys *may* stack; two with different pre-keys never do.  Used by
+    :meth:`LinearProgramSolver.solve_many`'s miss grouping.
     """
     pattern = tuple(
         (lo is not None and math.isfinite(lo),
@@ -274,22 +272,6 @@ class LinearProgramSolver:
                           else LPResultCache(cache_size))
         else:
             self.cache = None
-        #: Lazily created per-solver deferred futures queue; see
-        #: :meth:`deferred_queue`.
-        self._deferred_queue = None
-
-    def deferred_queue(self):
-        """The per-solver :class:`repro.lp.futures.DeferredLPQueue`.
-
-        Created on first use so solvers that never defer pay nothing.
-        All deferred call sites of one solver share this queue — that is
-        what lets LPs born in different regions and call sites co-flush
-        into one stacked group.
-        """
-        if self._deferred_queue is None:
-            from .futures import DeferredLPQueue
-            self._deferred_queue = DeferredLPQueue(self)
-        return self._deferred_queue
 
     def solve(self, c, a_ub=None, b_ub=None, bounds=None, *,
               purpose: str = "generic") -> LPResult:
@@ -397,11 +379,6 @@ class LinearProgramSolver:
             c, a_ub, __, bounds = prepared[index]
             pregroups.setdefault(stack_prekey(c, a_ub, bounds),
                                  []).append(index)
-        for premembers in pregroups.values():
-            # The group-size histogram behind the "median stacked-group
-            # size" metric: how wide the stacking-eligible groups of this
-            # batch actually are (recorded whether or not they stack).
-            self.stats.record_group_size(len(premembers))
         remaining = misses
         if (len(misses) >= MIN_STACK_GROUP
                 and self.backend in ("simplex", "hybrid")

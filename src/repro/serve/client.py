@@ -85,7 +85,7 @@ class GatewayClient:
         host: Gateway host.
         port: Gateway port.
         timeout: Socket timeout per request (streaming reads inherit
-            it per chunk, not per stream).
+            it per line, not per stream).
         retries: Extra :meth:`optimize` attempts after a transport
             error or a retryable status (:data:`RETRYABLE_STATUSES`).
             The default 0 preserves the historical single-shot
@@ -248,23 +248,12 @@ class GatewayClient:
                                    http_status=response.status)
                     yield doc_out
                     return
-                buffer = b""
-                while True:
-                    chunk = response.read(65536)
-                    if not chunk:
-                        break
-                    buffer += chunk
-                    while b"\n" in buffer:
-                        line, buffer = buffer.split(b"\n", 1)
-                        if line.strip():
-                            event = json.loads(line)
-                            if event.get("kind") == "done":
-                                saw_done = True
-                            yield event
-                            last_event = event
-                            events_seen += 1
-                if buffer.strip():
-                    event = json.loads(buffer)
+                # One line at a time, so each event reaches the caller
+                # as soon as its line arrives.
+                for line in iter(response.readline, b""):
+                    if not line.strip():
+                        continue
+                    event = json.loads(line)
                     if event.get("kind") == "done":
                         saw_done = True
                     yield event

@@ -6,7 +6,7 @@ from repro import config
 
 
 def read_via_registry():
-    return (config.enabled("REPRO_DEFERRED_LP"),
+    return (config.enabled("REPRO_STORE_SEED"),
             config.value("REPRO_STORE_SEED_BREADTH"))
 
 

@@ -259,6 +259,22 @@ class TestBatchCounters:
         assert one.batch_groups == 0
         assert one.batch_occupancy() == 0.0
 
+    def test_median_stacked_group_size(self):
+        stats = LPStats()
+        assert stats.median_stacked_group_size() == 0.0
+        stats.record_batch(group_size=8, solved=8, rounds=3,
+                           active_rounds=20, fallbacks=0)
+        stats.record_batch(group_size=24, solved=24, rounds=5,
+                           active_rounds=100, fallbacks=0)
+        # 8 LPs at size 8, 24 LPs at size 24: the median LP rides a 24.
+        assert stats.median_stacked_group_size() == 24.0
+        assert stats.stacked_group_size_histogram() == {8: 1, 24: 1}
+        other = LPStats()
+        other.merge(stats)
+        assert other.stacked_group_size_histogram() == {8: 1, 24: 1}
+        other.reset()
+        assert other.median_stacked_group_size() == 0.0
+
     def test_add_seconds_has_no_solve_side_effects(self):
         stats = LPStats()
         stats.add_seconds("emptiness", 0.25)
@@ -276,6 +292,7 @@ class TestBatchCounters:
         assert summary["batch_lp_solves"] == 4
         assert summary["batch_lp_fallbacks"] == 0
         assert summary["batch_lp_occupancy"] == pytest.approx(10 / 12)
+        assert summary["lp_median_stacked_group_size"] == 4.0
 
 
 class TestFullRunEquivalence:

@@ -155,7 +155,7 @@ def test_rep203_stale_and_missing_knob_table(tmp_path):
     root = make_tree(tmp_path, {"docs/architecture.md": fresh})
     assert lint(root, "src").findings == []
 
-    stale = fresh.replace("REPRO_DEFERRED_LP", "REPRO_RENAMED_LP")
+    stale = fresh.replace("REPRO_SCALAR_KERNELS", "REPRO_RENAMED_KERNELS")
     make_tree(tmp_path, {"docs/architecture.md": stale})
     assert rule_ids(lint(root, "src")) == ["REP203"]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -166,6 +167,56 @@ class TestRouter:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             SignatureRouter(0)
+
+
+# ----------------------------------------------------------------------
+# Client streaming against a stub server
+# ----------------------------------------------------------------------
+
+class TestClientStreaming:
+    def test_events_reach_caller_before_stream_ends(self):
+        # The stub writes one event, then holds the stream open until
+        # the test has seen that event; only then does it write done.
+        # A client that buffers the response would not yield the first
+        # event until the stub gave up waiting.
+        released = threading.Event()
+        outcome = {}
+
+        class Stub(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(b'{"kind": "rung_completed", "rung": 0}\n')
+                self.wfile.flush()
+                outcome["released"] = released.wait(timeout=10.0)
+                self.wfile.write(b'{"kind": "done", "status": "ok"}\n')
+                self.wfile.flush()
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Stub)
+        thread = threading.Thread(target=server.handle_request,
+                                  daemon=True)
+        thread.start()
+        try:
+            client = GatewayClient("127.0.0.1", server.server_address[1],
+                                   timeout=30.0)
+            events = []
+            for event in client.stream_optimize(make_query()):
+                events.append(event)
+                released.set()
+            thread.join(timeout=30.0)
+        finally:
+            released.set()
+            server.server_close()
+        assert not thread.is_alive()
+        assert [event["kind"] for event in events] == \
+            ["rung_completed", "done"]
+        assert outcome["released"] is True
 
 
 # ----------------------------------------------------------------------
