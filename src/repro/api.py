@@ -127,10 +127,6 @@ def optimize_query(query: Query, scenario: str = "cloud", *,
                    ) -> OptimizationResult:
     """Optimize one query under a named scenario (no session, no pool).
 
-    This is the registry-routed replacement for the deprecated
-    ``optimize_cloud_query``; ``optimize_query(q)`` returns bit-identical
-    results to it.
-
     Args:
         query: The query to optimize.
         scenario: Registered scenario name (``"cloud"``, ``"approx"``,

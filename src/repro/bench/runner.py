@@ -611,7 +611,7 @@ def run_pool_comparison(num_tables: int = 3, shape: str = "chain",
 
     The same sequence of ``batches`` distinct-query batches is optimized
     twice: once with a fresh session per batch (every batch pays worker
-    spawn and teardown, the legacy ``BatchOptimizer`` regime) and once
+    spawn and teardown: one session per batch) and once
     with a single session kept open across all batches.  Both regimes
     disable the session-scoped LP memo (``lp_memo_size=0``) so the
     measured difference isolates pool spawn/teardown overhead instead of

@@ -2,10 +2,9 @@
 
 Public API:
 
-* :class:`RRPA` / :func:`optimize_with` — the generic Algorithm 1 over an
-  abstract backend.
-* :class:`PWLRRPA` / :func:`optimize_cloud_query` — the PWL specialization
-  of Section 6, ready-wired to the Cloud cost model.
+* :class:`RRPA` — the generic Algorithm 1 over an abstract backend.
+* :class:`PWLRRPA` — the PWL specialization of Section 6, ready-wired to
+  the Cloud cost model.
 * :class:`PWLBackend` / :class:`PWLRRPAOptions` — Algorithms 2+3 with the
   Section 6.2 refinements switchable.
 * :class:`GridBackend` / :func:`make_grid` — generic-RRPA instantiation
@@ -19,8 +18,8 @@ from .entry import PlanEntry
 from .enumeration import count_considered_splits, splits, subsets_in_size_order
 from .grid import GridBackend, GridCost, GridRegion, make_grid
 from .pwl_backend import PWLBackend, PWLRRPAOptions
-from .pwl_rrpa import PWLRRPA, optimize_cloud_query
-from .rrpa import RRPA, OptimizationResult, optimize_with
+from .pwl_rrpa import PWLRRPA
+from .rrpa import RRPA, OptimizationResult
 from .run import (DEFAULT_PRECISION_LADDER, DEFAULT_SEED_CAP, RUN_COMPLETED,
                   RUN_EXHAUSTED, RUN_RUNG_DONE, RUN_STOPPED, SEED_JUMP_ALPHA,
                   Budget, OptimizationRun, ProgressEvent, RungOutcome,
@@ -68,8 +67,6 @@ __all__ = [
     "ladder_to",
     "load_plan_set",
     "make_grid",
-    "optimize_cloud_query",
-    "optimize_with",
     "save_result",
     "splits",
     "subsets_in_size_order",

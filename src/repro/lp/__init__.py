@@ -2,8 +2,8 @@
 
 Public API:
 
-* :class:`LinearProgramSolver` / :func:`make_solver` — LP facade with
-  pluggable backends (scipy HiGHS or the built-in simplex); its
+* :class:`LinearProgramSolver` — LP facade with pluggable backends
+  (scipy HiGHS or the built-in simplex); its
   :meth:`~LinearProgramSolver.solve_many` solves a batch of independent
   LPs with memo-backed in-batch deduplication and routes same-shape
   groups through the stacked-tableau batch simplex (the entry point of
@@ -29,7 +29,7 @@ from .batch_simplex import (BatchReport, StandardForm, solve_simplex_batch,
 from .counters import LPStats, default_stats
 from .simplex import SimplexResult, solve_simplex
 from .solver import (LinearProgramSolver, LPResult, LPResultCache,
-                     install_shared_lp_cache, make_solver, shared_lp_cache,
+                     install_shared_lp_cache, shared_lp_cache,
                      stack_prekey)
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "StandardForm",
     "default_stats",
     "install_shared_lp_cache",
-    "make_solver",
     "shared_lp_cache",
     "solve_simplex",
     "solve_simplex_batch",

@@ -545,11 +545,3 @@ class LinearProgramSolver:
     def _solve_simplex(self, c, a_ub, b_ub, bounds) -> LPResult:
         res = solve_simplex(c, a_ub, b_ub, bounds)
         return LPResult(res.status, res.x, res.objective)
-
-
-def make_solver(stats: LPStats | None = None,
-                backend: str = "auto",
-                cache_size: int = 0) -> LinearProgramSolver:
-    """Convenience constructor mirroring :class:`LinearProgramSolver`."""
-    return LinearProgramSolver(stats=stats, backend=backend,
-                               cache_size=cache_size)

@@ -1,4 +1,4 @@
-"""Optimization service: sessions, scenarios, caching, legacy batch API.
+"""Optimization service: sessions, scenarios, caching.
 
 Public API:
 
@@ -10,16 +10,13 @@ Public API:
   :func:`available_scenarios` — the pluggable scenario registry with
   built-in ``"cloud"`` and ``"approx"`` workloads.
 * :class:`BatchItem` — outcome of one submitted query.
-* :class:`BatchOptimizer` / :class:`BatchOptions` — deprecated batch
-  engine, kept as a thin wrapper over a session.
-* :class:`WarmStartCache` — LRU (optionally disk-backed) cache of
-  serialized Pareto plan sets.
+* :class:`WarmStartCache` — in-memory LRU of serialized Pareto plan
+  sets, optionally over a persistent :class:`repro.store.PlanSetStore`.
 * :func:`query_signature` / :func:`signature_document` — the cache key:
   a digest of the query's join graph, statistics, scenario and
   cost-model config.
 """
 
-from .batch import BatchOptimizer, BatchOptions
 from .cache import WarmStartCache
 from .registry import (Scenario, ScenarioRegistry, available_scenarios,
                        default_registry, get_scenario, register_scenario)
@@ -29,8 +26,6 @@ from .signature import query_signature, signature_document
 __all__ = [
     "STATUSES",
     "BatchItem",
-    "BatchOptimizer",
-    "BatchOptions",
     "OptimizerSession",
     "Scenario",
     "ScenarioRegistry",

@@ -3,9 +3,10 @@
 The MPQ workflow (Figure 2 of the paper) already splits optimization from
 run-time selection; a long-running service takes the next step and reuses
 *whole optimization outcomes* across queries.  The cache stores the JSON
-documents produced by :mod:`repro.core.serialize`, bounded by an LRU
-policy, with optional persistence to a directory so warm state survives
-process restarts (and can be shared between worker fleets).
+documents produced by :mod:`repro.core.serialize` in memory, bounded by
+an LRU policy, optionally over a :class:`repro.store.PlanSetStore` so
+warm state survives process restarts (and can be shared between worker
+fleets and gateway shards).
 
 Since the anytime redesign every entry carries an **alpha tag**: the
 approximation rung the producing run achieved (``0`` for exact results,
@@ -18,9 +19,6 @@ tighter one.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 
 from ..core import StoredPlanSet, decode_plan_set
@@ -36,29 +34,20 @@ class WarmStartCache:
 
     Args:
         maxsize: Maximum number of in-memory entries (LRU eviction);
-            ``0`` disables the in-memory tier (the persistent tiers,
-            when configured, still work).
-        directory: Optional directory for JSON persistence; entries are
-            written as ``<signature>.json`` and read back on memory
-            misses, so the directory acts as a second cache tier.
+            ``0`` disables the in-memory tier (the store, when
+            configured, still works).
         store: Optional :class:`repro.store.PlanSetStore` acting as the
-            persistent tier between memory and the directory: misses
-            consult it, puts write through to it (the store applies the
-            same coarser-never-overwrites-tighter rule), and one store
-            can be shared by many caches (e.g. gateway shards).  The
-            cache does not own the store's lifecycle — whoever created
-            it closes it.
+            persistent tier under memory: misses consult it, puts write
+            through to it (the store applies the same
+            coarser-never-overwrites-tighter rule), and one store can be
+            shared by many caches (e.g. gateway shards).  The cache does
+            not own the store's lifecycle — whoever created it closes it.
     """
 
-    def __init__(self, maxsize: int = 128,
-                 directory: str | os.PathLike | None = None,
-                 store=None) -> None:
+    def __init__(self, maxsize: int = 128, store=None) -> None:
         self.maxsize = maxsize
-        self.directory = os.fspath(directory) if directory else None
-        if self.directory:
-            os.makedirs(self.directory, exist_ok=True)
         self.store = store
-        self._data = BoundedLRU(maxsize)
+        self._data = BoundedLRU(maxsize)  # signature -> (doc, alpha)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -67,67 +56,25 @@ class WarmStartCache:
         with self._lock:
             return len(self._data)
 
-    def __contains__(self, signature: str) -> bool:
-        with self._lock:
-            if signature in self._data:
-                return True
-        return self._path_for(signature) is not None
-
-    def _path_for(self, signature: str) -> str | None:
-        if not self.directory:
-            return None
-        path = os.path.join(self.directory, f"{signature}.json")
-        return path if os.path.exists(path) else None
-
-    @staticmethod
-    def _unwrap(stored: dict) -> tuple[dict, float]:
-        """Split a stored entry into ``(doc, alpha)``.
-
-        Entries written before the anytime redesign are bare plan-set
-        documents; they count as exact (``alpha = 0``).
-        """
-        if "plan_set" in stored and "alpha" in stored:
-            return stored["plan_set"], float(stored["alpha"])
-        return stored, 0.0
-
     def get_entry(self, signature: str) -> tuple[dict, float] | None:
         """Return ``(document, alpha)`` for a cached entry, or ``None``.
 
         ``alpha`` is the approximation tag of the stored plan set: the
         rung the producing run reached (``0`` for exact results).
-        Corrupt or unreadable disk entries (a truncated file, a foreign
-        schema in a shared directory) count as misses rather than
-        failing the caller — the query is simply re-optimized.
         """
         with self._lock:
-            stored = self._data.get(signature)
-            if stored is not None:
+            entry = self._data.get(signature)
+            if entry is not None:
                 self.hits += 1
-                return self._unwrap(stored)
+                return entry
         entry = self._store_entry(signature)
-        if entry is not None:
-            doc, alpha = entry
-            with self._lock:
-                self._data.put(signature, {"alpha": alpha,
-                                           "plan_set": doc})
-                self.hits += 1
-            return entry
-        path = self._path_for(signature)
-        if path is not None:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    stored = json.load(handle)
-            except (OSError, ValueError):
-                with self._lock:
-                    self.misses += 1
-                return None
-            with self._lock:
-                self._data.put(signature, stored)
-                self.hits += 1
-            return self._unwrap(stored)
         with self._lock:
-            self.misses += 1
-        return None
+            if entry is None:
+                self.misses += 1
+            else:
+                self._data.put(signature, entry)
+                self.hits += 1
+        return entry
 
     def _store_entry(self, signature: str,
                      max_alpha: float | None = None
@@ -147,17 +94,6 @@ class WarmStartCache:
             return None
         return doc, float(doc.get("alpha", 0.0))
 
-    def _disk_entry(self, signature: str) -> tuple[dict, float] | None:
-        """Read ``(doc, alpha)`` straight from the disk tier, if any."""
-        path = self._path_for(signature)
-        if path is None:
-            return None
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return self._unwrap(json.load(handle))
-        except (OSError, ValueError):
-            return None
-
     def get(self, signature: str,
             max_alpha: float | None = None) -> dict | None:
         """Return the cached plan-set document, or ``None`` on a miss.
@@ -170,9 +106,9 @@ class WarmStartCache:
                 counts as a miss instead of silently serving a coarser
                 guarantee.  ``None`` accepts any tag (the pre-anytime
                 behavior, when every entry was exact for its signature).
-                When the in-memory entry is too coarse, the disk tier is
-                still consulted — another process sharing the directory
-                may have written a tighter one.
+                When the in-memory entry is too coarse, the store is
+                still consulted — another cache sharing it may have
+                written a tighter one.
         """
         entry = self.get_entry(signature)
         if entry is None:
@@ -180,18 +116,12 @@ class WarmStartCache:
         doc, alpha = entry
         if max_alpha is not None and alpha > max_alpha + 1e-12:
             # Too coarse in memory; a tighter entry may live in the
-            # store or on disk (written by another process/shard).
+            # store (written by another process/shard).
             tighter = self._store_entry(signature, max_alpha=max_alpha)
-            if tighter is None:
-                disk = self._disk_entry(signature)
-                if disk is not None and disk[1] <= max_alpha + 1e-12:
-                    tighter = disk
             if tighter is not None:
-                doc, alpha = tighter
                 with self._lock:
-                    self._data.put(signature,
-                                   {"alpha": alpha, "plan_set": doc})
-                return doc
+                    self._data.put(signature, tighter)
+                return tighter[0]
             with self._lock:
                 self.hits -= 1  # reclassify: tag too coarse is a miss
                 self.misses += 1
@@ -213,19 +143,14 @@ class WarmStartCache:
 
     def put(self, signature: str, doc: dict,
             alpha: float = 0.0) -> None:
-        """Insert a plan-set document, persisting it when configured.
+        """Insert a plan-set document, writing it through to the store.
 
         ``alpha`` tags the entry with the guarantee rung the producing
         run achieved (``0`` = exact).  A coarser entry never overwrites
         a tighter one under the same signature — an interrupted anytime
         run cannot degrade a previously cached exact result.
-
-        Disk writes go through a writer-unique temp file plus atomic
-        rename, so concurrent processes sharing one directory never
-        install a half-written document.
         """
         alpha = float(alpha)
-        stored = {"alpha": alpha, "plan_set": doc}
         if self.store is not None:
             # Write-through to the persistent store tier; the store
             # applies the coarser-never-overwrites-tighter rule itself
@@ -238,37 +163,12 @@ class WarmStartCache:
                 self.store.put(signature, store_doc)
             except Exception:
                 # Persistent tier unavailable (disk fault, locked or
-                # closed database): absorb — memory/disk tiers still
-                # serve — but count it so operators can see the store
+                # closed database): absorb — the memory tier still
+                # serves — but count it so operators can see the store
                 # silently shedding writes.
                 self.store.counters.write_faults_absorbed += 1
-        if self.directory and alpha > 1e-12:
-            # Consult the shared disk tier *before* touching memory: a
-            # tighter entry written by another process must veto both
-            # tiers, or the coarser entry would shadow it in memory.
-            # (Exact entries skip the read — nothing can be tighter.)
-            # Best-effort under concurrent writers: two simultaneous
-            # puts can interleave read and rename, so a racing coarser
-            # writer may still land last; readers stating max_alpha
-            # re-optimize in that case rather than degrade silently.
-            disk = self._disk_entry(signature)
-            if disk is not None and disk[1] < alpha - 1e-12:
-                return
         with self._lock:
             existing = self._data.get(signature)
-            if existing is not None and (
-                    self._unwrap(existing)[1] < alpha - 1e-12):
+            if existing is not None and existing[1] < alpha - 1e-12:
                 return  # keep the tighter entry
-            self._data.put(signature, stored)
-        if self.directory:
-            path = os.path.join(self.directory, f"{signature}.json")
-            fd, tmp = tempfile.mkstemp(dir=self.directory,
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(stored, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            self._data.put(signature, (doc, alpha))

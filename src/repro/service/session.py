@@ -637,8 +637,8 @@ class OptimizerSession:
         try:
             plan_set = decode_plan_set(doc)
         except Exception:  # reprolint: disable=REP601
-            # Undecodable cache entry (e.g. older format in a shared
-            # directory): fall through and re-optimize.
+            # Undecodable cache entry (e.g. a document of another
+            # format version): fall through and re-optimize.
             return None
         return BatchItem(index=index, signature=signature, status="cached",
                          plan_set=plan_set, scenario=scenario_name,

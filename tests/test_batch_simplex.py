@@ -19,8 +19,7 @@ import pytest
 
 import repro.lp.solver as solver_mod
 from repro.core import encode_result
-from repro.lp import (LinearProgramSolver, LPStats, make_solver,
-                      solve_simplex)
+from repro.lp import LinearProgramSolver, LPStats, solve_simplex
 from repro.lp.batch_simplex import (is_stackable, solve_simplex_batch,
                                     standard_form)
 from repro.query import QueryGenerator
@@ -115,7 +114,7 @@ class TestKernelOracle:
         forms = [standard_form(*problem) for problem in prepared]
         assert len({form.signature for form in forms}) == 1
         report = solve_simplex_batch(forms)
-        scipy_solver = make_solver(backend="scipy")
+        scipy_solver = LinearProgramSolver(backend="scipy")
         for problem, result in zip(problems, report.results):
             assert result is not None
             reference = scipy_solver.solve(*problem)

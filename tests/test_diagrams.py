@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import compute_diagram, render_diagram
-from repro.core import optimize_cloud_query
+from repro.api import optimize_query
 from repro.query import QueryGenerator
 
 
 @pytest.fixture(scope="module")
 def result():
     query = QueryGenerator(seed=81).generate(3, "chain", 1)
-    return optimize_cloud_query(query, resolution=2)
+    return optimize_query(query, "cloud", resolution=2)
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +65,14 @@ class TestRendering:
 
     def test_render_2d(self):
         query = QueryGenerator(seed=82).generate(2, "chain", 2)
-        result = optimize_cloud_query(query, resolution=1)
+        result = optimize_query(query, "cloud", resolution=1)
         diag = compute_diagram(result, points_per_axis=9)
         text = render_diagram(diag)
         assert "(x0 rightwards, x1 upwards)" in text
 
     def test_interval_check_requires_1d(self):
         query = QueryGenerator(seed=83).generate(2, "chain", 2)
-        result = optimize_cloud_query(query, resolution=1)
+        result = optimize_query(query, "cloud", resolution=1)
         diag = compute_diagram(result, points_per_axis=5)
         with pytest.raises(ValueError):
             diag.plan_region_is_interval(0)

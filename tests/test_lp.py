@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SolverError
 from repro.lp import (LinearProgramSolver, LPStats, default_stats,
-                      make_solver, solve_simplex)
+                      solve_simplex)
 
 
 class TestSimplexCore:
@@ -68,8 +68,8 @@ class TestBackendAgreement:
         b = a @ x0 + rng.uniform(0.1, 2.0, size=m)
         box = [(-5.0, 5.0)] * n
         c = rng.normal(size=n)
-        scipy_solver = make_solver(backend="scipy")
-        simplex_solver = make_solver(backend="simplex")
+        scipy_solver = LinearProgramSolver(backend="scipy")
+        simplex_solver = LinearProgramSolver(backend="simplex")
         r1 = scipy_solver.solve(c, a, b, box)
         r2 = simplex_solver.solve(c, a, b, box)
         assert r1.status == r2.status == "optimal"
@@ -84,7 +84,7 @@ class TestBackendAgreement:
         a = np.vstack([direction, -direction])
         b = np.array([-1.0, -1.0])
         for backend in ("scipy", "simplex"):
-            res = make_solver(backend=backend).solve(
+            res = LinearProgramSolver(backend=backend).solve(
                 np.zeros(n), a, b, [(-10, 10)] * n)
             assert res.is_infeasible
 
@@ -149,7 +149,7 @@ class TestLinearProgramSolver:
         assert s.stats is default_stats()
 
     def test_inconsistent_shapes_raise(self):
-        s = make_solver(backend="scipy")
+        s = LinearProgramSolver(backend="scipy")
         with pytest.raises(SolverError):
             s.solve([1.0, 1.0], [[1.0, 0.0]], [1.0, 2.0])
 

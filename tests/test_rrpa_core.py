@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import optimize_query
 from repro.cloud import CloudCostModel
 from repro.core import (GridBackend, PWLRRPA, PWLRRPAOptions, RRPA,
                         count_considered_splits, make_grid,
-                        optimize_cloud_query, splits, subsets_in_size_order)
+                        splits, subsets_in_size_order)
 from repro.plans import ScanPlan
 from repro.query import QueryGenerator
 
@@ -126,7 +127,7 @@ class TestGridBackend:
 class TestPWLRRPA:
     def test_stats_populated(self):
         query = QueryGenerator(seed=6).generate(3, "chain", 1)
-        result = optimize_cloud_query(query, resolution=2)
+        result = optimize_query(query, "cloud", resolution=2)
         stats = result.stats
         assert stats.plans_created > 0
         assert stats.plans_inserted >= len(result.entries)
@@ -137,7 +138,7 @@ class TestPWLRRPA:
 
     def test_pareto_entries_have_nonempty_regions(self):
         query = QueryGenerator(seed=7).generate(3, "chain", 1)
-        result = optimize_cloud_query(query, resolution=2)
+        result = optimize_query(query, "cloud", resolution=2)
         xs = np.linspace(0.02, 0.98, 49)
         for entry in result.entries:
             assert any(entry.region.contains_point([x]) for x in xs), \
@@ -145,13 +146,13 @@ class TestPWLRRPA:
 
     def test_every_point_has_relevant_plan(self):
         query = QueryGenerator(seed=8).generate(3, "chain", 1)
-        result = optimize_cloud_query(query, resolution=2)
+        result = optimize_query(query, "cloud", resolution=2)
         for x in np.linspace(0.0, 1.0, 21):
             assert result.plans_for([x])
 
     def test_frontier_nonempty_and_mutually_nondominating(self):
         query = QueryGenerator(seed=9).generate(4, "chain", 1)
-        result = optimize_cloud_query(query, resolution=2)
+        result = optimize_query(query, "cloud", resolution=2)
         for x in (0.1, 0.5, 0.9):
             frontier = result.frontier_at([x])
             assert frontier
@@ -164,7 +165,7 @@ class TestPWLRRPA:
 
     def test_dp_table_has_all_connected_subsets(self):
         query = QueryGenerator(seed=10).generate(4, "chain", 1)
-        result = optimize_cloud_query(query, resolution=2)
+        result = optimize_query(query, "cloud", resolution=2)
         for subset in subsets_in_size_order(query):
             assert subset in result.dp_table
             assert result.dp_table[subset]
@@ -176,11 +177,11 @@ class TestPWLRRPA:
 
     def test_options_respected(self):
         query = QueryGenerator(seed=11).generate(3, "chain", 1)
-        with_points = optimize_cloud_query(
-            query, resolution=2,
+        with_points = optimize_query(
+            query, "cloud", resolution=2,
             options=PWLRRPAOptions(use_relevance_points=True))
-        without_points = optimize_cloud_query(
-            query, resolution=2,
+        without_points = optimize_query(
+            query, "cloud", resolution=2,
             options=PWLRRPAOptions(use_relevance_points=False))
         assert with_points.stats.emptiness_checks_skipped > 0
         assert without_points.stats.emptiness_checks_skipped == 0
@@ -191,11 +192,11 @@ class TestPWLRRPA:
     def test_convexity_strategy_sound(self):
         """Algorithm 2's convexity-based emptiness keeps a superset."""
         query = QueryGenerator(seed=12).generate(3, "chain", 1)
-        difference = optimize_cloud_query(
-            query, resolution=2,
+        difference = optimize_query(
+            query, "cloud", resolution=2,
             options=PWLRRPAOptions(emptiness_strategy="difference"))
-        convexity = optimize_cloud_query(
-            query, resolution=2,
+        convexity = optimize_query(
+            query, "cloud", resolution=2,
             options=PWLRRPAOptions(emptiness_strategy="convexity"))
         diff_sigs = {e.plan.signature() for e in difference.entries}
         conv_sigs = {e.plan.signature() for e in convexity.entries}

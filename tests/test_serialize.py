@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import optimize_query
 from repro.core import (PlanSelector, decode_plan_set, encode_result,
-                        load_plan_set, optimize_cloud_query, save_result)
+                        load_plan_set, save_result)
 from repro.core.serialize import SerializationError
 from repro.query import QueryGenerator
 
@@ -16,7 +17,7 @@ from repro.query import QueryGenerator
 @pytest.fixture(scope="module")
 def result():
     query = QueryGenerator(seed=71).generate(3, "chain", 1)
-    return optimize_cloud_query(query, resolution=2)
+    return optimize_query(query, "cloud", resolution=2)
 
 
 @pytest.fixture(scope="module")

@@ -1,23 +1,21 @@
-"""Tests for the legacy batch service surface (repro.service.batch).
+"""Tests for the batch contract of ``OptimizerSession.map``.
 
-BatchOptimizer is a deprecated wrapper over OptimizerSession; these tests
-pin the legacy contract (ordering, isolation, timeouts, warm starts) that
-the wrapper must keep honoring.  Session-native behavior is covered in
-``test_session.py``.
+Pins what a batch of queries gets from one session: deterministic
+ordering, per-query error isolation and timeouts, and warm-start caching
+(in memory and through a persistent plan-set store).  Streaming, pool
+lifecycle and scenario behavior are covered in ``test_session.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import PWLRRPAOptions, PlanSelector, optimize_cloud_query
+from repro.api import OptimizerSession, optimize_query
+from repro.core import PWLRRPAOptions, PlanSelector
 from repro.query import QueryGenerator
-from repro.service import (BatchOptimizer, BatchOptions, WarmStartCache,
-                           query_signature)
+from repro.service import WarmStartCache, query_signature
 from repro.service import session as session_module
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning")  # the legacy surface warns by design
+from repro.store import PlanSetStore
 
 
 def make_queries(count: int, num_tables: int = 3, seed: int = 0):
@@ -45,17 +43,17 @@ class TestQuerySignature:
 class TestBatchOrderingAndResults:
     def test_results_in_input_order(self):
         queries = make_queries(4)
-        items = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            queries)
+        with OptimizerSession("cloud") as session:
+            items = session.map(queries)
         assert [item.index for item in items] == [0, 1, 2, 3]
         assert all(item.status == "ok" for item in items)
         assert all(item.plan_set.entries for item in items)
 
     def test_plan_sets_match_direct_optimization(self):
         (query,) = make_queries(1)
-        (item,) = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            [query])
-        direct = optimize_cloud_query(query, resolution=2)
+        with OptimizerSession("cloud") as session:
+            (item,) = session.map([query])
+        direct = optimize_query(query, "cloud", resolution=2)
         x = [0.5]
         plan, cost = item.plan_set.select(x, {"time": 1.0, "fees": 0.5})
         picked = PlanSelector(direct).by_weighted_sum(
@@ -65,14 +63,16 @@ class TestBatchOrderingAndResults:
 
     def test_process_pool_matches_serial(self):
         queries = make_queries(3, num_tables=2)
-        serial = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            queries)
-        pooled = BatchOptimizer(BatchOptions(workers=2)).optimize_batch(
-            queries)
-        assert [i.index for i in pooled] == [0, 1, 2]
-        for a, b in zip(serial, pooled):
-            assert b.status == "ok"
-            assert len(a.plan_set.entries) == len(b.plan_set.entries)
+        with OptimizerSession("cloud") as serial:
+            a = serial.map(queries)
+        with OptimizerSession("cloud", workers=2) as pooled:
+            b = pooled.map(queries)
+        assert [i.index for i in b] == [0, 1, 2]
+        for x, y in zip(a, b):
+            assert y.status == "ok"
+            assert len(x.plan_set.entries) == len(y.plan_set.entries)
+            assert (x.plan_set.select([0.3], {"time": 1.0, "fees": 0.2})
+                    == y.plan_set.select([0.3], {"time": 1.0, "fees": 0.2}))
 
 
 class TestErrorIsolation:
@@ -86,8 +86,8 @@ class TestErrorIsolation:
             return real(payload)
 
         monkeypatch.setattr(session_module, "_optimize_payload", flaky)
-        items = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            queries)
+        with OptimizerSession("cloud") as session:
+            items = session.map(queries)
         assert [item.status for item in items] == ["ok", "error", "ok"]
         assert "injected worker failure" in items[1].error
         assert items[1].plan_set is None
@@ -116,11 +116,11 @@ class TestTimeouts:
         monkeypatch.setattr(session_module, "_optimize_payload",
                             _sleepy_leader)
         queries = make_queries(2, num_tables=2)
-        optimizer = BatchOptimizer(BatchOptions(workers=2,
-                                                timeout_seconds=1.0))
-        started = time.monotonic()
-        items = optimizer.optimize_batch(queries)
-        elapsed = time.monotonic() - started
+        with OptimizerSession("cloud", workers=2,
+                              timeout_seconds=1.0) as session:
+            started = time.monotonic()
+            items = session.map(queries)
+            elapsed = time.monotonic() - started
         assert items[0].status == "timeout"
         assert items[0].plan_set is None
         assert items[1].status == "ok"
@@ -128,19 +128,18 @@ class TestTimeouts:
         # abandoned worker (which keeps sleeping in the background; the
         # session's close() terminates it).
         assert elapsed < 4.0
-        optimizer.session.close()
 
 
 class TestWarmStartCache:
     def test_hit_and_miss_accounting(self):
         queries = make_queries(2)
-        optimizer = BatchOptimizer(BatchOptions(workers=0))
-        first = optimizer.optimize_batch(queries)
-        assert [i.status for i in first] == ["ok", "ok"]
-        assert optimizer.cache.hits == 0
-        second = optimizer.optimize_batch(queries)
-        assert [i.status for i in second] == ["cached", "cached"]
-        assert optimizer.cache.hits == 2
+        with OptimizerSession("cloud") as session:
+            first = session.map(queries)
+            assert [i.status for i in first] == ["ok", "ok"]
+            assert session.cache.hits == 0
+            second = session.map(queries)
+            assert [i.status for i in second] == ["cached", "cached"]
+            assert session.cache.hits == 2
         # Cached plan sets select identically to fresh ones.
         for a, b in zip(first, second):
             assert (a.plan_set.select([0.4], {"time": 1.0})[1]
@@ -149,19 +148,18 @@ class TestWarmStartCache:
     def test_duplicates_within_one_batch_share_work(self):
         (query,) = make_queries(1)
         same = QueryGenerator(seed=0).generate(3, "chain", 1)
-        items = BatchOptimizer(BatchOptions(workers=0)).optimize_batch(
-            [query, same])
+        with OptimizerSession("cloud") as session:
+            items = session.map([query, same])
         assert [i.status for i in items] == ["ok", "cached"]
         assert items[1].ok
 
     def test_warm_start_disabled(self):
         queries = make_queries(1)
-        optimizer = BatchOptimizer(BatchOptions(workers=0,
-                                                warm_start=False))
-        optimizer.optimize_batch(queries)
-        items = optimizer.optimize_batch(queries)
-        assert items[0].status == "ok"
-        assert len(optimizer.cache) == 0
+        with OptimizerSession("cloud", warm_start=False) as session:
+            session.map(queries)
+            items = session.map(queries)
+            assert items[0].status == "ok"
+            assert len(session.cache) == 0
 
     def test_lru_bound(self):
         cache = WarmStartCache(maxsize=2)
@@ -171,31 +169,20 @@ class TestWarmStartCache:
         assert cache.get("sig0") is None
         assert cache.get("sig3") is not None
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        queries = make_queries(1)
-        sig = query_signature(queries[0])
-        (tmp_path / f"{sig}.json").write_text("{ not json")
-        optimizer = BatchOptimizer(BatchOptions(workers=0),
-                                   cache=WarmStartCache(directory=tmp_path))
-        items = optimizer.optimize_batch(queries)
-        # The damaged file neither fails the batch nor serves bad data.
-        assert items[0].status == "ok"
-        assert items[0].plan_set.entries
-
     def test_undecodable_memory_entry_reoptimizes(self):
         queries = make_queries(1)
-        optimizer = BatchOptimizer(BatchOptions(workers=0))
-        optimizer.cache.put(query_signature(queries[0]), {"version": 999})
-        items = optimizer.optimize_batch(queries)
+        with OptimizerSession("cloud") as session:
+            session.cache.put(query_signature(queries[0]), {"version": 999})
+            items = session.map(queries)
         assert items[0].status == "ok"
 
-    def test_directory_persistence(self, tmp_path):
+    def test_store_persistence(self, tmp_path):
         queries = make_queries(1)
-        options = BatchOptions(workers=0)
-        first = BatchOptimizer(options,
-                               cache=WarmStartCache(directory=tmp_path))
-        assert first.optimize_batch(queries)[0].status == "ok"
-        # A fresh process/cache instance warm-starts from disk.
-        second = BatchOptimizer(options,
-                                cache=WarmStartCache(directory=tmp_path))
-        assert second.optimize_batch(queries)[0].status == "cached"
+        path = tmp_path / "store.db"
+        with PlanSetStore(path) as store, OptimizerSession(
+                "cloud", cache=WarmStartCache(store=store)) as first:
+            assert first.map(queries)[0].status == "ok"
+        # A fresh process/cache instance warm-starts from the store file.
+        with PlanSetStore(path) as store, OptimizerSession(
+                "cloud", cache=WarmStartCache(store=store)) as second:
+            assert second.map(queries)[0].status == "cached"

@@ -11,7 +11,7 @@ Covers:
   serial trail;
 * warm-start alpha tags — a partial (coarse) cache entry never serves an
   exact request, and a tighter entry is never overwritten by a coarser
-  one;
+  one, in memory or in a plan-set store shared by several caches;
 * worker LP-memo deltas merged back into the session memo, with the
   session counters showing the cross-batch gain.
 """
@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import Budget, OptimizerSession, WarmStartCache
 from repro.query import QueryGenerator
+from repro.store import PlanSetStore
 
 
 def make_query(seed: int = 0, num_tables: int = 4):
@@ -339,45 +340,59 @@ class TestWarmStartAlphaTags:
         assert cache.get("sig", max_alpha=0.2) == doc
 
     def test_disk_tier_preserves_alpha_tag(self, tmp_path):
-        writer = WarmStartCache(directory=tmp_path)
-        doc = {"version": 1, "entries": []}
-        writer.put("sig", doc, alpha=0.25)
-        reader = WarmStartCache(directory=tmp_path)
-        assert reader.get_entry("sig") == (doc, 0.25)
-        assert reader.get("sig", max_alpha=0.0) is None
-        # A tighter write replaces it; a coarser one afterwards does not.
-        writer.put("sig", doc, alpha=0.0)
-        writer.put("sig", doc, alpha=0.5)
-        fresh = WarmStartCache(directory=tmp_path)
-        assert fresh.get_entry("sig") == (doc, 0.0)
+        """The store is the on-disk tier: a fresh cache over it sees the
+        alpha tag another cache wrote."""
+        doc = {"version": 1, "alpha": 0.25, "entries": []}
+        exact = dict(doc, alpha=0.0)
+        coarser = dict(doc, alpha=0.5)
+        with PlanSetStore(tmp_path / "store.db") as store:
+            writer = WarmStartCache(store=store)
+            writer.put("sig", doc, alpha=0.25)
+            reader = WarmStartCache(store=store)
+            assert reader.get_entry("sig") == (doc, 0.25)
+            assert reader.get("sig", max_alpha=0.0) is None
+            # A tighter write replaces it; a coarser one afterwards does
+            # not.
+            writer.put("sig", exact, alpha=0.0)
+            writer.put("sig", coarser, alpha=0.5)
+            fresh = WarmStartCache(store=store)
+            assert fresh.get_entry("sig") == (exact, 0.0)
 
-    def test_shared_directory_coherence_across_processes(self, tmp_path):
-        """A tighter entry on disk (another process) vetoes a coarser
-        put in both tiers, and a too-coarse memory entry falls back to
-        the tighter disk entry on read."""
+    def test_shared_store_coherence_across_caches(self, tmp_path):
+        """A coarse put never shadows another cache's exact entry, and a
+        too-coarse memory entry falls back to the store's tighter one."""
         doc_exact = {"version": 1, "alpha": 0.0, "entries": []}
         doc_coarse = {"version": 1, "alpha": 0.5, "entries": []}
-        other = WarmStartCache(directory=tmp_path)
-        other.put("sig", doc_exact, alpha=0.0)
-        # A second process with a cold memory tier must not shadow the
-        # exact disk entry with its coarse partial result.
-        mine = WarmStartCache(directory=tmp_path)
-        mine.put("sig", doc_coarse, alpha=0.5)
-        assert mine.get("sig", max_alpha=0.0) == doc_exact
-        # Even with a coarse entry already in memory, an exact request
-        # finds the tighter disk entry written meanwhile.
-        late = WarmStartCache()  # memory only at first
-        late.put("sig", doc_coarse, alpha=0.5)
-        late.directory = str(tmp_path)
-        assert late.get("sig", max_alpha=0.0) == doc_exact
+        with PlanSetStore(tmp_path / "store.db") as store:
+            first = WarmStartCache(store=store)
+            first.put("sig", doc_exact, alpha=0.0)
+            # A second cache with a cold memory tier puts its coarse
+            # partial result: the store keeps the exact entry, and both
+            # caches still serve it to exact requests.
+            second = WarmStartCache(store=store)
+            second.put("sig", doc_coarse, alpha=0.5)
+            assert store.counters.puts_rejected_coarser == 1
+            assert first.get("sig", max_alpha=0.0) == doc_exact
+            assert second.get("sig", max_alpha=0.0) == doc_exact
+            assert WarmStartCache(store=store).get_entry("sig") == (
+                doc_exact, 0.0)
 
-    def test_legacy_bare_disk_entry_reads_as_exact(self, tmp_path):
-        import json
-        doc = {"version": 1, "entries": []}
-        (tmp_path / "sig.json").write_text(json.dumps(doc))
-        cache = WarmStartCache(directory=tmp_path)
-        assert cache.get_entry("sig") == (doc, 0.0)
-        assert cache.get("sig", max_alpha=0.0) == doc
+    def test_coarse_memory_entry_reads_tighter_store_entry(self,
+                                                           tmp_path):
+        """A cache holding a too-coarse memory entry answers an exact
+        request from the tighter entry another cache stored meanwhile."""
+        doc_exact = {"version": 1, "alpha": 0.0, "entries": []}
+        doc_coarse = {"version": 1, "alpha": 0.5, "entries": []}
+        with PlanSetStore(tmp_path / "store.db") as store:
+            late = WarmStartCache(store=store)
+            late.put("sig", doc_coarse, alpha=0.5)
+            WarmStartCache(store=store).put("sig", doc_exact, alpha=0.0)
+            assert late.get_entry("sig") == (doc_coarse, 0.5)
+            hits, misses = late.hits, late.misses
+            assert late.get("sig", max_alpha=0.0) == doc_exact
+            assert (late.hits, late.misses) == (hits + 1, misses)
+            # The tighter entry replaced the coarse one in memory.
+            assert late.get_entry("sig") == (doc_exact, 0.0)
 
 
 class TestLpMemoMergeBack:

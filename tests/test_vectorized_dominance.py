@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.core import PWLRRPAOptions, encode_result, optimize_cloud_query
+from repro.api import optimize_query
+from repro.core import PWLRRPAOptions, encode_result
 from repro.core.serialize import _encode_polytope
 from repro.cost import batch_dominance_aligned
 from repro.lp import LinearProgramSolver, LPStats
@@ -32,7 +33,7 @@ def _aligned_costs(seed: int, num_tables: int = 3, shape: str = "chain",
                    num_params: int = 1):
     """Randomized aligned cost functions: every DP entry of a real run."""
     query = QueryGenerator(seed=seed).generate(num_tables, shape, num_params)
-    result = optimize_cloud_query(query, resolution=2)
+    result = optimize_query(query, "cloud", resolution=2)
     costs = [entry.cost for entries in result.dp_table.values()
              for entry in entries]
     assert len(costs) >= 4
@@ -96,10 +97,10 @@ class TestFullRunsBitIdentical:
         query = QueryGenerator(seed=seed).generate(num_tables, shape,
                                                    num_params)
         resolution = 1 if num_params == 2 else 2
-        fast = optimize_cloud_query(query, resolution=resolution,
-                                    options=PWLRRPAOptions())
-        slow = optimize_cloud_query(query, resolution=resolution,
-                                    options=SCALAR)
+        fast = optimize_query(query, "cloud", resolution=resolution,
+                              options=PWLRRPAOptions())
+        slow = optimize_query(query, "cloud", resolution=resolution,
+                              options=SCALAR)
         assert (json.dumps(encode_result(fast), sort_keys=True)
                 == json.dumps(encode_result(slow), sort_keys=True))
         # Pruning decisions match one for one, not just final plan sets.
