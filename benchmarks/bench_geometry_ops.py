@@ -11,10 +11,14 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.api import optimize_query
+from repro.bench import SweepPoint, queries_for_point
+from repro.core import decode_plan_set, encode_result
 from repro.cost import ParamPolynomial, SharedPartition
-from repro.geometry import (ConvexPolytope, RelevanceRegion,
+from repro.geometry import (ConvexPolytope, LinearConstraint, RelevanceRegion,
                             subtract_polytopes, union_as_polytope)
 from repro.lp import LinearProgramSolver, LPStats
 
@@ -49,6 +53,39 @@ def test_region_difference(benchmark, solver):
 
     pieces = benchmark(run)
     assert len(pieces) >= 2
+
+
+def test_prefix_chain_construction(benchmark):
+    # The candidate pieces subtract_polytope_many builds for one base and
+    # an 8-row cut: piece k adds the complement of cut row k to the
+    # prefix, and the prefix adds the row itself.  LP-free: this times
+    # polytope construction alone.
+    base = ConvexPolytope.unit_box(2)
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    cut = [LinearConstraint.make([np.cos(t), np.sin(t)], 0.3)
+           for t in angles]
+    halves = [(c, c.negation()) for c in cut]
+
+    def run():
+        pieces = []
+        prefix = base
+        for row, negation in halves:
+            pieces.append(prefix.with_constraint(negation))
+            prefix = prefix.with_constraint(row)
+        return pieces
+
+    pieces = benchmark(run)
+    assert pieces[-1].num_constraints == 4 + 8
+
+
+def test_decode_stored_plan_set(benchmark):
+    # Reloading a stored 4-table plan set: one polytope per PWL piece
+    # region and per relevance-region cutout, no LPs.
+    query = queries_for_point(SweepPoint(4, "star", 1), count=1)[0]
+    doc = encode_result(optimize_query(query, "cloud"))
+
+    stored = benchmark(decode_plan_set, doc)
+    assert len(stored.entries) == len(doc["entries"])
 
 
 def test_union_convexity_recognition(benchmark, solver):

@@ -20,7 +20,7 @@ import numpy as np
 from ..cost import MultiObjectivePWL, PiecewiseLinearFunction
 from ..cost.linear import LinearPiece
 from ..errors import ReproError
-from ..geometry import ConvexPolytope, LinearConstraint
+from ..geometry import ConvexPolytope, normalize_halfspace
 from ..plans import JoinOperator, JoinPlan, Plan, ScanOperator, ScanPlan
 from .rrpa import OptimizationResult
 
@@ -52,8 +52,9 @@ def _encode_plan(plan: Plan) -> dict:
 
 def _encode_polytope(poly: ConvexPolytope) -> dict:
     return {"dim": poly.dim,
-            "constraints": [{"a": c.a.tolist(), "b": c.b}
-                            for c in poly.constraints]}
+            "constraints": [{"a": a, "b": b}
+                            for a, b in zip(poly._a.tolist(),
+                                            poly._b.tolist())]}
 
 
 def _encode_pwl(f: PiecewiseLinearFunction) -> dict:
@@ -166,10 +167,24 @@ def _decode_plan(doc: dict) -> Plan:
     raise SerializationError(f"unknown plan kind {kind!r}")
 
 
+#: A stored row whose norm is this close to 1 was normalized when it was
+#: encoded; scaling it again would move its last bits on every round trip.
+UNIT_NORM_TOL = 1e-12
+
+
 def _decode_polytope(doc: dict) -> ConvexPolytope:
-    constraints = [LinearConstraint.make(c["a"], c["b"])
-                   for c in doc["constraints"]]
-    return ConvexPolytope(doc["dim"], constraints)
+    dim = doc["dim"]
+    rows = doc["constraints"]
+    if not rows:
+        return ConvexPolytope(dim)
+    a = np.array([c["a"] for c in rows], dtype=float).reshape(len(rows), -1)
+    b = np.array([c["b"] for c in rows], dtype=float)
+    # Documents also arrive from the gateway and the store, so rows that
+    # are not unit-norm are still normalized.
+    norms = np.linalg.norm(a, axis=1)
+    for i in np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        a[i], b[i] = normalize_halfspace(a[i], b[i])
+    return ConvexPolytope(dim, rows=(a, b))
 
 
 def _decode_pwl(doc: dict) -> PiecewiseLinearFunction:

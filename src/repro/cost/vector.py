@@ -348,8 +348,9 @@ class MultiObjectivePWL:
           polytope emptiness checks, and each cross-metric combination
           round run as single batched LP passes.
 
-        Constraints attached to surviving polytopes are built with
-        :meth:`LinearConstraint.make` from the same difference vectors
+        Half-spaces attached to surviving polytopes are added with
+        :meth:`ConvexPolytope.with_halfspace` (the normalization of
+        :meth:`LinearConstraint.make`) from the same difference vectors
         the scalar path uses, so the produced polytopes are identical.
         """
         factor = 1.0 + relax
@@ -384,8 +385,8 @@ class MultiObjectivePWL:
                 if trivial[i, j]:
                     candidates.append(region)
                 else:
-                    candidates.append(region.with_constraint(
-                        LinearConstraint.make(diff_w[i, j], diff_b[i, j])))
+                    candidates.append(region.with_halfspace(
+                        diff_w[i, j], diff_b[i, j]))
             dom_empty = emptiness_many(candidates, solver)
             polys_m = [dom for dom, empty in zip(candidates, dom_empty)
                        if not empty]
@@ -553,9 +554,8 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
                 for m in range(len(names)):
                     if metric_holds[k, m, idx]:
                         continue
-                    candidate = candidate.with_constraint(
-                        LinearConstraint.make(diff_w[k, m, idx],
-                                              diff_b[k, m, idx]))
+                    candidate = candidate.with_halfspace(
+                        diff_w[k, m, idx], diff_b[k, m, idx])
                 if candidate.contains_point(verts[idx].mean(axis=0)):
                     polys.append(candidate)
                 else:

@@ -2,7 +2,8 @@
 
 Public API:
 
-* :class:`LinearConstraint` — closed halfspace ``a @ x <= b``.
+* :class:`LinearConstraint` — closed halfspace ``a @ x <= b``;
+  :func:`normalize_halfspace` is its unit-normal scaling.
 * :class:`ConvexPolytope` — H-representation polytope with LP-backed
   predicates (emptiness, containment, redundancy removal, Chebyshev
   centers, vertex enumeration).
@@ -22,7 +23,8 @@ Public API:
 """
 
 from .batchops import chebyshev_many, emptiness_many, has_interior_many
-from .constraints import GEOMETRY_EPS, LinearConstraint, constraints_to_arrays
+from .constraints import (GEOMETRY_EPS, LinearConstraint,
+                          constraints_to_arrays, normalize_halfspace)
 from .convexity import constraint_valid_for, envelope, union_as_polytope
 from .difference import (subtract_polytope, subtract_polytope_many,
                          subtract_polytopes, union_covers)
@@ -50,6 +52,7 @@ __all__ = [
     "has_interior_many",
     "interval_pieces",
     "kuhn_triangulation_unit_cell",
+    "normalize_halfspace",
     "regions_empty_many",
     "subtract_polytope",
     "subtract_polytope_many",

@@ -38,9 +38,9 @@ def emptiness_many(polytopes: Sequence[ConvexPolytope],
     for poly in polytopes:
         if poly._empty_cache is not None:
             continue
-        if poly.has_trivially_infeasible():
+        if poly._infeasible:
             poly._empty_cache = True
-        elif not poly.constraints:
+        elif not poly.num_constraints:
             poly._empty_cache = False
         else:
             pending.append(poly)
@@ -67,9 +67,9 @@ def chebyshev_many(polytopes: Sequence[ConvexPolytope],
     for poly in polytopes:
         if poly._cheb_cache is not None:
             continue
-        if poly.has_trivially_infeasible():
+        if poly._infeasible:
             poly._cheb_cache = (None, -np.inf)
-        elif not poly.constraints:
+        elif not poly.num_constraints:
             poly._cheb_cache = (None, np.inf)
         else:
             pending.append(poly)

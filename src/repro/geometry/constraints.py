@@ -18,6 +18,22 @@ from ..errors import DimensionMismatchError
 GEOMETRY_EPS = 1e-8
 
 
+def normalize_halfspace(a, b: float) -> tuple[np.ndarray, float]:
+    """Scale the half-space ``a @ x <= b`` to a unit-norm normal.
+
+    This is the one normalization every stored half-space goes through,
+    so rows built from arrays and rows built as :class:`LinearConstraint`
+    objects are bit-identical.  A coefficient vector of norm at most
+    :data:`GEOMETRY_EPS` is returned unscaled (as a float array, possibly
+    sharing memory with ``a``).
+    """
+    vec = np.asarray(a, dtype=float).reshape(-1)
+    norm = float(np.linalg.norm(vec))
+    if norm > GEOMETRY_EPS:
+        return vec / norm, float(b) / norm
+    return vec, float(b)
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     """A closed halfspace ``a @ x <= b``.
@@ -49,14 +65,10 @@ class LinearConstraint:
             as-is and represents either the full space (``b >= 0``) or the
             empty set (``b < 0``).
         """
-        vec = np.asarray(a, dtype=float).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if norm > GEOMETRY_EPS:
-            vec = vec / norm
-            b = float(b) / norm
+        vec, b = normalize_halfspace(a, b)
         frozen = vec.copy()
         frozen.setflags(write=False)
-        return LinearConstraint(a=frozen, b=float(b))
+        return LinearConstraint(a=frozen, b=b)
 
     @property
     def dim(self) -> int:
@@ -106,7 +118,11 @@ class LinearConstraint:
                     and abs(self.b - other.b) <= tol)
 
     def key(self, decimals: int = 9) -> tuple:
-        """Hashable rounding-based key for de-duplication inside polytopes."""
+        """Hashable rounding-based key for de-duplication.
+
+        Two constraints' keys are equal exactly when the
+        :func:`~repro.geometry.polytope.row_keys` of their rows are.
+        """
         return (tuple(np.round(self.a, decimals)), round(self.b, decimals))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

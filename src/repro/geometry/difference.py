@@ -15,10 +15,36 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from ..lp import LinearProgramSolver
 from ..util import scalar_kernels_enabled
 from .batchops import emptiness_many, has_interior_many
-from .polytope import INTERIOR_EPS, ConvexPolytope
+from .constraints import normalize_halfspace
+from .polytope import INTERIOR_EPS, ConvexPolytope, row_keys
+
+#: One-row block ``(A, b, keys)`` ready for :meth:`ConvexPolytope.with_rows`.
+RowBlock = tuple[np.ndarray, np.ndarray, list[bytes]]
+
+
+def _cut_halves(cut: ConvexPolytope) -> list[tuple[RowBlock, RowBlock]]:
+    """Per row of ``cut``: that row and its closed complement, as blocks.
+
+    The complement of ``a @ x <= b`` is ``-a @ x <= -b``, normalized as
+    :meth:`LinearConstraint.negation` normalizes it, so the pieces built
+    from it are bit-identical to pieces built from constraint objects.
+    """
+    negated = [normalize_halfspace(-row, -rhs)
+               for row, rhs in zip(cut._a, cut._b.tolist())]
+    neg_a = np.array([row for row, __ in negated]).reshape(cut._a.shape)
+    neg_b = np.array([rhs for __, rhs in negated], dtype=float)
+    neg_keys = row_keys(neg_a, neg_b)
+    halves = []
+    for k in range(cut.num_constraints):
+        rows = slice(k, k + 1)
+        halves.append(((cut._a[rows], cut._b[rows], cut._keys[rows]),
+                       (neg_a[rows], neg_b[rows], neg_keys[rows])))
+    return halves
 
 
 def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
@@ -48,7 +74,7 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
         raise ValueError("dimension mismatch in polytope subtraction")
     if base.is_empty(solver):
         return []
-    if not cut.constraints:
+    if not cut.num_constraints:
         # Subtracting the universe leaves nothing.
         return []
     # Fast path: a cut that misses the base entirely (no interior overlap)
@@ -58,11 +84,11 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
         return [base]
     pieces: list[ConvexPolytope] = []
     prefix = base
-    for constraint in cut.constraints:
-        piece = prefix.with_constraint(constraint.negation())
+    for row, negation in _cut_halves(cut):
+        piece = prefix.with_rows(*negation)
         if piece.has_interior(solver, eps=interior_eps):
             pieces.append(piece)
-        prefix = prefix.with_constraint(constraint)
+        prefix = prefix.with_rows(*row)
         if prefix.is_empty(solver):
             break
     return pieces
@@ -103,7 +129,7 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     for i in range(len(bases)):
         if empty[i]:
             results[i] = []
-        elif not cut.constraints:
+        elif not cut.num_constraints:
             # Subtracting the universe leaves nothing.
             results[i] = []
         else:
@@ -123,12 +149,13 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     # pass decides which candidates survive.
     candidates: list[ConvexPolytope] = []
     spans: list[tuple[int, int, int]] = []  # (base index, start, stop)
+    halves = _cut_halves(cut) if clipped else []
     for i in clipped:
         start = len(candidates)
         prefix = bases[i]
-        for constraint in cut.constraints:
-            candidates.append(prefix.with_constraint(constraint.negation()))
-            prefix = prefix.with_constraint(constraint)
+        for row, negation in halves:
+            candidates.append(prefix.with_rows(*negation))
+            prefix = prefix.with_rows(*row)
         spans.append((i, start, len(candidates)))
     keep = has_interior_many(candidates, solver, eps=interior_eps)
     for i, start, stop in spans:

@@ -18,44 +18,90 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, EmptyRegionError
 from ..lp import LinearProgramSolver
-from .constraints import GEOMETRY_EPS, LinearConstraint, constraints_to_arrays
+from .constraints import (GEOMETRY_EPS, LinearConstraint,
+                          constraints_to_arrays, normalize_halfspace)
 
 #: Chebyshev radius below which a polytope is treated as lower-dimensional
 #: (i.e. "empty up to measure zero") by interior-emptiness checks.
 INTERIOR_EPS = 1e-7
 
+#: Decimals to which coefficients and right-hand sides are rounded when
+#: deciding whether two stored half-spaces are duplicates.
+KEY_DECIMALS = 9
 
-def _dedupe(constraints: Iterable[LinearConstraint]) -> list[LinearConstraint]:
-    """Drop exact duplicates and trivially-satisfied constraints."""
-    seen: set[tuple] = set()
-    out: list[LinearConstraint] = []
+
+def row_keys(a: np.ndarray, b: np.ndarray) -> list[bytes]:
+    """Return the duplicate-detection key of every row of ``A @ x <= b``.
+
+    A key is the row's coefficients (``np.round``) and right-hand side
+    (the builtin ``round``) at :data:`KEY_DECIMALS` decimals, packed as
+    bytes with ``-0.0`` folded into ``0.0``.  Two rows have equal keys
+    exactly when :meth:`LinearConstraint.key` of the two constraints
+    compares equal.
+    """
+    m, dim = a.shape
+    block = np.empty((m, dim + 1))
+    a.round(KEY_DECIMALS, out=block[:, :dim])
+    block[:, dim] = [round(v, KEY_DECIMALS) for v in b.tolist()]
+    block += 0.0  # -0.0 + 0.0 == +0.0
+    raw = block.tobytes()
+    step = (dim + 1) * block.itemsize
+    return [raw[i:i + step] for i in range(0, len(raw), step)]
+
+
+def _constraint_rows(dim: int, constraints: Iterable[LinearConstraint]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack constraints into rows of a ``dim``-dimensional polytope.
+
+    A zero-coefficient constraint of another dimension only says "always"
+    or "never", so it becomes a zero row of this dimension; any other
+    dimension mismatch is an error.
+    """
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
     for c in constraints:
-        if c.is_trivial():
-            continue
-        key = c.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(c)
-    return out
+        a = c.a
+        if a.shape[0] != dim:
+            if not np.all(np.abs(a) <= GEOMETRY_EPS):
+                raise DimensionMismatchError(
+                    f"constraint dim {a.shape[0]} != polytope dim {dim}")
+            a = np.zeros(dim)
+        rows.append(a)
+        rhs.append(c.b)
+    if not rows:
+        return np.zeros((0, dim)), np.zeros(0)
+    return np.array(rows, dtype=float), np.array(rhs, dtype=float)
 
 
 class ConvexPolytope:
     """A convex polytope ``{x in R^dim : A @ x <= b}``.
 
-    Instances are immutable; all operations return new polytopes.
+    Instances are immutable; all operations return new polytopes.  The
+    half-spaces are stored as one normalized row block (``_a``, ``_b``)
+    with one duplicate-detection key per row (``_keys``, see
+    :func:`row_keys`).  Trivially satisfied rows (``0 @ x <= b`` with
+    ``b >= -GEOMETRY_EPS``) and rows whose key an earlier row already has
+    are dropped; a derived polytope only keys and checks the rows it
+    adds to its parent's block.
 
     Args:
         dim: Dimensionality of the ambient (parameter) space.
         constraints: Iterable of :class:`LinearConstraint` of dimension
             ``dim``.  Duplicates and trivial constraints are dropped.
+        base: Polytope whose (already de-duplicated) rows come first.
+        rows: ``(A, b)`` of already normalized rows, used instead of
+            ``constraints``.
+        keys: The keys of ``rows`` when the caller has them already.
     """
 
-    __slots__ = ("dim", "constraints", "_a", "_b", "_empty_cache",
-                 "_cheb_cache", "vertex_hint", "cell_tag")
+    __slots__ = ("dim", "_a", "_b", "_keys", "_infeasible", "_constraints",
+                 "_empty_cache", "_cheb_cache", "vertex_hint", "cell_tag")
 
     def __init__(self, dim: int,
-                 constraints: Iterable[LinearConstraint] = ()) -> None:
+                 constraints: Iterable[LinearConstraint] = (), *,
+                 base: ConvexPolytope | None = None,
+                 rows: tuple[np.ndarray, np.ndarray] | None = None,
+                 keys: Sequence[bytes] | None = None) -> None:
         #: Optional exact vertex list attached by constructors that know
         #: the polytope's V-representation (e.g. simplicial grid cells).
         #: Purely an acceleration hint — never required for correctness.
@@ -65,18 +111,52 @@ class ConvexPolytope:
         #: tags have disjoint interiors; used to skip subtraction work.
         self.cell_tag = None
         self.dim = int(dim)
-        cons = _dedupe(constraints)
-        for c in cons:
-            if c.dim != self.dim and not c.is_infeasible_trivial():
-                raise DimensionMismatchError(
-                    f"constraint dim {c.dim} != polytope dim {self.dim}")
-        self.constraints: tuple[LinearConstraint, ...] = tuple(cons)
-        self._a, self._b = constraints_to_arrays(self.constraints)
-        if self._a.shape[1] == 0 and self.constraints:
-            # All constraints were trivial-infeasible zero rows.
-            self._a = np.zeros((len(self.constraints), self.dim))
+        self._constraints: tuple[LinearConstraint, ...] | None = None
         self._empty_cache: bool | None = None
         self._cheb_cache: tuple[np.ndarray | None, float] | None = None
+        a, b = (_constraint_rows(self.dim, constraints) if rows is None
+                else rows)
+        if a.ndim != 2 or a.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"rows of shape {a.shape} in a {self.dim}-dim polytope")
+        zero = (np.abs(a) <= GEOMETRY_EPS).all(axis=1)
+        infeasible_rows = None
+        candidates: Iterable[int] = range(a.shape[0])
+        if zero.any():
+            trivial = zero & (b >= -GEOMETRY_EPS)
+            candidates = (~trivial).nonzero()[0].tolist()
+            infeasible_rows = zero & (b < -GEOMETRY_EPS)
+        if keys is None and a.shape[0]:
+            keys = row_keys(a, b)
+        known = () if base is None else base._keys
+        seen: set[bytes] = set()
+        take: list[int] = []
+        for i in candidates:
+            key = keys[i]
+            if key not in seen and key not in known:
+                seen.add(key)
+                take.append(i)
+        if base is not None and not take:
+            self._a, self._b = base._a, base._b
+            self._keys, self._infeasible = base._keys, base._infeasible
+            return
+        if len(take) < a.shape[0]:
+            a, b = a[take], b[take]
+        elif base is None:
+            a, b = a.copy(), b.copy()
+        new_keys = tuple(keys[i] for i in take)
+        infeasible = (infeasible_rows is not None
+                      and bool(infeasible_rows[take].any()))
+        if base is None:
+            self._a, self._b = a, b
+            self._keys, self._infeasible = new_keys, infeasible
+        else:
+            self._a = np.concatenate((base._a, a))
+            self._b = np.concatenate((base._b, b))
+            self._keys = base._keys + new_keys
+            self._infeasible = base._infeasible or infeasible
+        self._a.setflags(write=False)
+        self._b.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -94,8 +174,10 @@ class ConvexPolytope:
         b = np.asarray(b, dtype=float).reshape(-1)
         if a.ndim != 2 or a.shape[0] != b.shape[0]:
             raise DimensionMismatchError("A and b shapes are inconsistent")
-        cons = [LinearConstraint.make(a[i], b[i]) for i in range(a.shape[0])]
-        return ConvexPolytope(a.shape[1], cons)
+        rows = [normalize_halfspace(a[i], b[i]) for i in range(a.shape[0])]
+        a_n = np.array([row for row, __ in rows]).reshape(a.shape)
+        b_n = np.array([rhs for __, rhs in rows], dtype=float)
+        return ConvexPolytope(a.shape[1], rows=(a_n, b_n))
 
     @staticmethod
     def box(lows: Sequence[float], highs: Sequence[float]) -> ConvexPolytope:
@@ -110,15 +192,20 @@ class ConvexPolytope:
         if len(lows) != len(highs):
             raise ValueError("lows and highs must have equal length")
         dim = len(lows)
-        cons = []
         for i, (lo, hi) in enumerate(zip(lows, highs)):
             if lo > hi:
                 raise ValueError(f"box bound {i}: low {lo} > high {hi}")
-            e = np.zeros(dim)
-            e[i] = 1.0
-            cons.append(LinearConstraint.make(e, hi))
-            cons.append(LinearConstraint.make(-e, -lo))
-        return ConvexPolytope(dim, cons)
+        # Rows e_i @ x <= hi_i and -e_i @ x <= -lo_i, interleaved per
+        # axis.  Unit normals need no scaling; negating the rows gives
+        # the -0.0 entries LinearConstraint.make(-e_i, -lo_i) keeps.
+        eye = np.eye(dim)
+        a = np.empty((2 * dim, dim))
+        a[0::2] = eye
+        a[1::2] = -eye
+        b = np.empty(2 * dim)
+        b[0::2] = [float(hi) for hi in highs]
+        b[1::2] = [float(-lo) for lo in lows]
+        return ConvexPolytope(dim, rows=(a, b))
 
     @staticmethod
     def unit_box(dim: int) -> ConvexPolytope:
@@ -130,9 +217,22 @@ class ConvexPolytope:
     # ------------------------------------------------------------------
 
     @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        """The stored half-spaces as :class:`LinearConstraint` objects.
+
+        Built on first use from the row block, in row order; the hot
+        paths read ``_a``/``_b`` directly.
+        """
+        if self._constraints is None:
+            self._constraints = tuple(
+                LinearConstraint(a=row, b=rhs)
+                for row, rhs in zip(self._a, self._b.tolist()))
+        return self._constraints
+
+    @property
     def num_constraints(self) -> int:
         """Number of stored (de-duplicated) constraints."""
-        return len(self.constraints)
+        return self._b.shape[0]
 
     def contains_point(self, x, tol: float = GEOMETRY_EPS) -> bool:
         """Return whether point ``x`` lies in the polytope (within ``tol``)."""
@@ -140,23 +240,23 @@ class ConvexPolytope:
         if x.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"point dim {x.shape[0]} != polytope dim {self.dim}")
-        if not self.constraints:
+        if not self.num_constraints:
             return True
-        return bool(np.all(self._a @ x <= self._b + tol))
+        return bool((self._a @ x <= self._b + tol).all())
 
     def has_trivially_infeasible(self) -> bool:
         """``True`` if any stored constraint is syntactically infeasible."""
-        return any(c.is_infeasible_trivial() for c in self.constraints)
+        return self._infeasible
 
     def is_empty(self, solver: LinearProgramSolver,
                  tol: float = GEOMETRY_EPS) -> bool:
         """Decide emptiness via a feasibility LP (result cached)."""
         if self._empty_cache is not None:
             return self._empty_cache
-        if self.has_trivially_infeasible():
+        if self._infeasible:
             self._empty_cache = True
             return True
-        if not self.constraints:
+        if not self.num_constraints:
             self._empty_cache = False
             return False
         result = solver.solve(np.zeros(self.dim), self._a, self._b,
@@ -176,10 +276,10 @@ class ConvexPolytope:
         """
         if self._cheb_cache is not None:
             return self._cheb_cache
-        if self.has_trivially_infeasible():
+        if self._infeasible:
             self._cheb_cache = (None, -np.inf)
             return self._cheb_cache
-        if not self.constraints:
+        if not self.num_constraints:
             self._cheb_cache = (None, np.inf)
             return self._cheb_cache
         # Variables (x, r): maximize r subject to a_i @ x + r <= b_i
@@ -226,8 +326,8 @@ class ConvexPolytope:
         if other.dim != self.dim:
             raise DimensionMismatchError(
                 f"cannot intersect dims {self.dim} and {other.dim}")
-        result = ConvexPolytope(self.dim,
-                                self.constraints + other.constraints)
+        result = ConvexPolytope(self.dim, base=self,
+                                rows=(other._a, other._b), keys=other._keys)
         # The intersection is a subset of both operands, so it inherits
         # either cell tag (prefer ours).
         result.cell_tag = (self.cell_tag if self.cell_tag is not None
@@ -236,7 +336,27 @@ class ConvexPolytope:
 
     def with_constraint(self, constraint: LinearConstraint) -> ConvexPolytope:
         """Return this polytope with one extra constraint added."""
-        result = ConvexPolytope(self.dim, self.constraints + (constraint,))
+        return self.with_rows(*_constraint_rows(self.dim, (constraint,)))
+
+    def with_halfspace(self, a, b: float) -> ConvexPolytope:
+        """Return this polytope with ``a @ x <= b`` added.
+
+        The half-space is normalized exactly as
+        :meth:`LinearConstraint.make` normalizes it.
+        """
+        vec, rhs = normalize_halfspace(a, b)
+        return self.with_rows(vec[None, :], np.array([rhs]))
+
+    def with_rows(self, a: np.ndarray, b: np.ndarray,
+                  keys: Sequence[bytes] | None = None) -> ConvexPolytope:
+        """Return this polytope with normalized rows ``A @ x <= b`` added.
+
+        Args:
+            a: ``(k, dim)`` unit-norm (or zero) coefficient rows.
+            b: Their ``k`` right-hand sides.
+            keys: The rows' :func:`row_keys`, when already computed.
+        """
+        result = ConvexPolytope(self.dim, base=self, rows=(a, b), keys=keys)
         result.cell_tag = self.cell_tag
         return result
 
@@ -328,10 +448,10 @@ class ConvexPolytope:
         Returns:
             De-duplicated list of vertex coordinate arrays.
         """
-        if self.dim == 0 or not self.constraints:
+        if self.dim == 0 or not self.num_constraints:
             return []
         verts: list[np.ndarray] = []
-        for subset in combinations(range(len(self.constraints)), self.dim):
+        for subset in combinations(range(self.num_constraints), self.dim):
             a = self._a[list(subset)]
             b = self._b[list(subset)]
             if abs(np.linalg.det(a)) < 1e-10:
@@ -353,4 +473,4 @@ class ConvexPolytope:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConvexPolytope(dim={self.dim}, "
-                f"constraints={len(self.constraints)})")
+                f"constraints={self.num_constraints})")

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import (ConvexPolytope, LinearConstraint,
+from repro.errors import DimensionMismatchError
+from repro.geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
                             RelevanceRegion, box_simplices,
                             subtract_polytope, subtract_polytopes)
+from repro.geometry.difference import _cut_halves
 from repro.lp import LinearProgramSolver, LPStats
 
 
@@ -57,6 +59,161 @@ class TestConstraintProperties:
         rng = np.random.default_rng(1)
         for x in rng.uniform(-3, 3, size=(20, 2)):
             assert c.contains(x) or n.contains(x)
+
+
+# ----------------------------------------------------------------------
+# Reference: the per-constraint de-duplication polytopes were first built
+# with (one LinearConstraint object per row, re-keyed on every build).
+# ----------------------------------------------------------------------
+
+def reference_dedupe(constraints):
+    """Drop exact duplicates and trivially-satisfied constraints."""
+    seen = set()
+    out = []
+    for c in constraints:
+        if c.is_trivial():
+            continue
+        key = c.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(c)
+    return out
+
+
+def reference_constraints_to_arrays(constraints):
+    constraints = list(constraints)
+    if not constraints:
+        return np.zeros((0, 0)), np.zeros(0)
+    dim = constraints[0].dim
+    for c in constraints:
+        if c.dim != dim:
+            raise DimensionMismatchError("mixed constraint dimensions")
+    a = np.vstack([c.a for c in constraints])
+    b = np.array([c.b for c in constraints], dtype=float)
+    return a, b
+
+
+def reference_polytope(dim, constraints):
+    """``(rows, A, b, trivially_infeasible)`` of the reference build."""
+    cons = reference_dedupe(constraints)
+    a, b = reference_constraints_to_arrays(cons)
+    if a.shape[1] == 0:
+        a = np.zeros((len(cons), dim))
+    return cons, a, b, any(c.is_infeasible_trivial() for c in cons)
+
+
+def assert_matches_reference(poly, dim, constraints):
+    cons, a, b, infeasible = reference_polytope(dim, constraints)
+    assert poly.num_constraints == len(cons)
+    # Bit-equal, -0.0 included, in the reference order.
+    assert poly._a.shape == a.shape
+    assert poly._a.tobytes() == a.tobytes()
+    assert poly._b.tobytes() == b.tobytes()
+    assert poly.has_trivially_infeasible() == infeasible
+    assert [c.a.tobytes() for c in poly.constraints] == \
+        [c.a.tobytes() for c in cons]
+    assert [c.b for c in poly.constraints] == [c.b for c in cons]
+    return cons
+
+
+#: Offsets either side of the 9th-decimal rounding step, plus exact
+#: duplicates (0.0) and sub-ulp-of-key noise.
+NEAR = (0.0, 0.0, 4e-10, -4e-10, 6e-10, -6e-10, 1e-9, 1e-12, 5e-10)
+#: Right-hand sides of zero rows: trivial (b >= -eps) and infeasible.
+ZERO_RHS = (0.0, -0.0, 1.0, -GEOMETRY_EPS / 2, -GEOMETRY_EPS,
+            -2 * GEOMETRY_EPS, -1.0)
+
+
+@st.composite
+def constraint_lists(draw, dim=2):
+    """Constraint lists rich in duplicates, near-duplicates, -0.0 and zeros."""
+    pool_size = draw(st.integers(1, 3))
+    pool = [(draw(st.lists(st.sampled_from((0.0, -0.0, 0.25, -0.5, 1.0,
+                                            0.123456789, 0.1234567885)),
+                           min_size=dim, max_size=dim)),
+             draw(st.sampled_from((0.0, -0.0, 0.5, 0.3333333335, -1.0))))
+            for __ in range(pool_size)]
+    constraints = []
+    for __ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("pool", "near", "zero", "negzero")))
+        row, rhs = pool[draw(st.integers(0, pool_size - 1))]
+        row = list(row)
+        if kind == "near":
+            row[draw(st.integers(0, dim - 1))] += draw(st.sampled_from(NEAR))
+            rhs += draw(st.sampled_from(NEAR))
+        elif kind == "zero":
+            row = [draw(st.sampled_from((0.0, -0.0, 1e-9, -1e-9)))
+                   for __ in range(dim)]
+            rhs = draw(st.sampled_from(ZERO_RHS))
+        elif kind == "negzero":
+            row = [-0.0 if v == 0.0 else v for v in row]
+        if draw(st.booleans()):
+            constraints.append(LinearConstraint.make(row, rhs))
+        else:
+            # Stored verbatim: exercises keys of rows that are not unit.
+            constraints.append(LinearConstraint(a=np.array(row, dtype=float),
+                                                b=float(rhs)))
+    return constraints
+
+
+class TestRowBlockMatchesReference:
+    """``ConvexPolytope``'s row block equals the per-object reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_lists())
+    def test_construction(self, constraints):
+        assert_matches_reference(ConvexPolytope(2, constraints), 2,
+                                 constraints)
+
+    @settings(max_examples=200, deadline=None)
+    @given(constraint_lists(), st.data())
+    def test_with_constraint_chain(self, constraints, data):
+        split = data.draw(st.integers(0, len(constraints)))
+        poly = ConvexPolytope(2, constraints[:split])
+        expected = reference_dedupe(constraints[:split])
+        for c in constraints[split:]:
+            poly = poly.with_constraint(c)
+            expected = reference_dedupe(expected + [c])
+            assert_matches_reference(poly, 2, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(constraint_lists(), constraint_lists())
+    def test_intersect(self, left, right):
+        poly = ConvexPolytope(2, left).intersect(ConvexPolytope(2, right))
+        assert_matches_reference(
+            poly, 2, reference_dedupe(left) + reference_dedupe(right))
+
+    @settings(max_examples=100, deadline=None)
+    @given(constraint_lists(),
+           st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+           st.floats(-2, 2))
+    def test_with_halfspace(self, constraints, a, b):
+        poly = ConvexPolytope(2, constraints).with_halfspace(a, b)
+        assert_matches_reference(
+            poly, 2,
+            reference_dedupe(constraints) + [LinearConstraint.make(a, b)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(constraint_lists(), constraint_lists())
+    def test_row_keys_match_constraint_keys(self, left, right):
+        p, q = ConvexPolytope(2, left), ConvexPolytope(2, right)
+        ref_p, ref_q = reference_dedupe(left), reference_dedupe(right)
+        same = frozenset(p._keys) == frozenset(q._keys)
+        ref_same = (frozenset(c.key() for c in ref_p)
+                    == frozenset(c.key() for c in ref_q))
+        assert same == ref_same
+
+    @settings(max_examples=100, deadline=None)
+    @given(constraint_lists())
+    def test_cut_negations_match_constraint_negation(self, constraints):
+        cut = ConvexPolytope(2, constraints)
+        halves = _cut_halves(cut)
+        for c, (row, negation) in zip(cut.constraints, halves):
+            neg = c.negation()
+            assert row[0][0].tobytes() == c.a.tobytes()
+            assert negation[0][0].tobytes() == neg.a.tobytes()
+            assert negation[1][0] == neg.b
 
 
 class TestSubtractionProperties:

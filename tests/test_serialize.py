@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from repro.api import optimize_query
-from repro.core import (PlanSelector, decode_plan_set, encode_result,
-                        load_plan_set, save_result)
-from repro.core.serialize import SerializationError
+from repro.bench import (SweepPoint, drift_statistics, queries_for_point,
+                         stable_seed)
+from repro.core import (PlanSelector, decode_plan_set, encode_plan_set,
+                        encode_result, load_plan_set, save_result)
+from repro.core.serialize import SerializationError, _decode_polytope
 from repro.query import QueryGenerator
 
 
@@ -62,6 +64,36 @@ class TestRoundTrip:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
         assert doc["version"] == 1
+
+
+class TestByteExactRoundTrip:
+    """Decoding keeps stored rows, so a re-encoded set is the stored set."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        # A 3-table chain with two parameters, statistics drifted by 0.5 %:
+        # several of its stored cutout rows have a norm that is not
+        # exactly 1.0 in floating point, so rescaling them moves bits.
+        query = queries_for_point(SweepPoint(3, "chain", 2), count=1)[0]
+        query = drift_statistics(
+            query, stable_seed("perfbench:c03.cloud.chain.p2.t3:1"),
+            magnitude=0.005)
+        return encode_result(optimize_query(query, "cloud"))
+
+    def test_encode_of_decode_is_identity(self, doc):
+        text = json.dumps(doc, sort_keys=True)
+        once = encode_plan_set(decode_plan_set(doc))
+        assert json.dumps(once, sort_keys=True) == text
+        twice = encode_plan_set(decode_plan_set(once))
+        assert json.dumps(twice, sort_keys=True) == text
+
+    def test_non_unit_rows_still_normalized(self):
+        doc = {"dim": 2, "constraints": [{"a": [3.0, 4.0], "b": 5.0},
+                                         {"a": [0.0, 0.0], "b": 1.0}]}
+        poly = _decode_polytope(doc)
+        assert poly.num_constraints == 1
+        assert poly._a[0].tolist() == [0.6, 0.8]
+        assert poly._b.tolist() == [1.0]
 
 
 class TestStoredSelection:
