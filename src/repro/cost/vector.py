@@ -35,6 +35,18 @@ from .linear import LinearPiece
 from .pwl import PiecewiseLinearFunction
 
 
+def _cell_witness(candidate: ConvexPolytope, verts: np.ndarray) -> bool:
+    """Whether the cell centroid or a cell vertex lies in ``candidate``.
+
+    Membership is tested within ``GEOMETRY_EPS``.  Either point proves
+    the candidate non-empty without an emptiness LP.
+    """
+    if candidate.contains_point(verts.mean(axis=0)):
+        return True
+    inside = verts @ candidate._a.T <= candidate._b + GEOMETRY_EPS
+    return bool(inside.all(axis=1).any())
+
+
 class MultiObjectivePWL:
     """A vector-valued PWL cost function ``c : X -> R^{nM}``.
 
@@ -221,8 +233,9 @@ class MultiObjectivePWL:
         When a region carries a vertex hint (simplicial grid cells do),
         dominance is first decided at the vertices: a linear inequality
         that holds at every vertex holds on the whole cell, and one that
-        fails at every vertex fails on the whole cell.  Only genuinely
-        mixed cells fall back to an emptiness LP.
+        fails at every vertex fails on the whole cell.  A mixed cell whose
+        centroid or one of whose vertices satisfies all its inequalities
+        is non-empty; only the rest fall back to an emptiness LP.
         """
         names = self.metric_names
         factor = 1.0 + relax
@@ -262,9 +275,8 @@ class MultiObjectivePWL:
                 continue
             if whole_cell:
                 polys.append(region)
-            elif verts is not None and candidate.contains_point(
-                    verts.mean(axis=0)):
-                # The cell centroid satisfies all constraints: non-empty
+            elif verts is not None and _cell_witness(candidate, verts):
+                # A cell point satisfies all constraints: non-empty
                 # without an LP.
                 polys.append(candidate)
             elif batch_lps:
@@ -477,7 +489,8 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
     The per-cell, per-metric dominance constraints of the aligned path are
     classified for the *whole batch* in one array pass over the shared
     partition's vertex hints; only genuinely mixed cells fall back to
-    polytope assembly (and, rarely, an emptiness LP), exactly mirroring
+    polytope assembly (and, when neither the cell centroid nor a cell
+    vertex witnesses them, an emptiness LP), exactly mirroring
     :meth:`MultiObjectivePWL._dominance_aligned` decision by decision so
     the produced polytope lists are identical to the scalar path's.
 
@@ -556,7 +569,7 @@ def batch_dominance_aligned(many: Sequence[MultiObjectivePWL],
                         continue
                     candidate = candidate.with_halfspace(
                         diff_w[k, m, idx], diff_b[k, m, idx])
-                if candidate.contains_point(verts[idx].mean(axis=0)):
+                if _cell_witness(candidate, verts[idx]):
                     polys.append(candidate)
                 else:
                     # Rare mixed cell: hold its slot and decide every

@@ -28,8 +28,9 @@ def emptiness_many(polytopes: Sequence[ConvexPolytope],
                    solver: LinearProgramSolver) -> list[bool]:
     """Batched :meth:`ConvexPolytope.is_empty` over many polytopes.
 
-    Cached and trivially decidable instances answer without an LP exactly
-    as the scalar method does; the remaining feasibility LPs are solved in
+    Cached, trivially decidable and ball-carrying instances (see
+    :meth:`ConvexPolytope.known_ball`) answer without an LP exactly as the
+    scalar method does; the remaining feasibility LPs are solved in
     one :meth:`~repro.lp.LinearProgramSolver.solve_many` pass.  Results
     are cached on each polytope, so interleaving batched and scalar calls
     is safe.
@@ -40,7 +41,7 @@ def emptiness_many(polytopes: Sequence[ConvexPolytope],
             continue
         if poly._infeasible:
             poly._empty_cache = True
-        elif not poly.num_constraints:
+        elif not poly.num_constraints or poly.known_ball() is not None:
             poly._empty_cache = False
         else:
             pending.append(poly)

@@ -23,6 +23,11 @@ from .batchops import emptiness_many, has_interior_many
 from .constraints import normalize_halfspace
 from .polytope import INTERIOR_EPS, ConvexPolytope, row_keys
 
+#: Radius a ball certificate must exceed before it stands in for an
+#: interior LP: ten times :data:`INTERIOR_EPS`, so a ball that an LP
+#: reported within its row tolerance still clears the interior threshold.
+CERT_RADIUS = 10 * INTERIOR_EPS
+
 #: One-row block ``(A, b, keys)`` ready for :meth:`ConvexPolytope.with_rows`.
 RowBlock = tuple[np.ndarray, np.ndarray, list[bytes]]
 
@@ -94,6 +99,27 @@ def subtract_polytope(base: ConvexPolytope, cut: ConvexPolytope,
     return pieces
 
 
+def _ball_certificates(base: ConvexPolytope, cut: ConvexPolytope
+                       ) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """Balls around ``base``'s known center that fit the subtraction.
+
+    With ``(center, r)`` the base's known ball and
+    ``s = cut._b - cut._a @ center`` the signed distances from the center
+    to the (unit-normal) cut rows, the overlap ``base ∩ cut`` contains the
+    ball of radius ``min(r, s.min())`` and candidate piece ``k`` (cut rows
+    ``0..k-1`` and the complement of row ``k``) the ball of radius
+    ``min(r, s[0..k-1], -s[k])``.  Returns ``(center, overlap radius,
+    piece radii)``, or ``None`` when the base knows no ball.
+    """
+    ball = base.known_ball()
+    if ball is None:
+        return None
+    center, radius = ball
+    slack = cut._b - cut._a @ center
+    shrunk = np.minimum.accumulate(np.concatenate(([radius], slack[:-1])))
+    return center, min(radius, slack.min()), np.minimum(shrunk, -slack)
+
+
 def subtract_polytope_many(bases: Sequence[ConvexPolytope],
                            cut: ConvexPolytope,
                            solver: LinearProgramSolver,
@@ -105,16 +131,24 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     :func:`subtract_polytope` would return, but assembles the underlying
     LPs into three batched passes instead of interleaving them per base:
 
-    1. base emptiness (usually answered from the per-polytope cache),
+    1. base emptiness (usually answered from the per-polytope cache or
+       a known inscribed ball),
     2. the overlap fast path — one interior check per surviving base,
     3. one interior check per candidate piece of every clipped base.
+
+    Passes 2 and 3 first try a ball certificate: when the base knows an
+    inscribed ball (:meth:`ConvexPolytope.known_ball`), the balls of
+    :func:`_ball_certificates` whose radius exceeds :data:`CERT_RADIUS`
+    prove an interior without an LP, and a certified piece keeps its
+    ball as ``_ball``.
 
     The scalar loop additionally solves a *prefix emptiness* LP after each
     cut constraint purely to break out early; the batched form decides
     every candidate piece directly, so those LPs disappear entirely
     (pieces past a scalar early-exit lie inside an empty prefix and are
     dropped by their own interior check, leaving the results identical).
-    With ``REPRO_SCALAR_KERNELS=1`` the scalar path runs instead.
+    With ``REPRO_SCALAR_KERNELS=1`` the scalar, LP-decided path runs
+    instead.
     """
     if scalar_kernels_enabled():
         return [subtract_polytope(base, cut, solver,
@@ -123,6 +157,9 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
     for base in bases:
         if cut.dim != base.dim:
             raise ValueError("dimension mismatch in polytope subtraction")
+    # A certificate clears the caller's interior threshold with the same
+    # margin CERT_RADIUS keeps over INTERIOR_EPS.
+    cert = max(CERT_RADIUS, 10 * interior_eps)
     results: list[list[ConvexPolytope] | None] = [None] * len(bases)
     empty = emptiness_many(bases, solver)
     live: list[int] = []
@@ -134,30 +171,47 @@ def subtract_polytope_many(bases: Sequence[ConvexPolytope],
             results[i] = []
         else:
             live.append(i)
-    # Fast path: cuts that miss a base entirely leave it unchanged.
-    overlaps = [bases[i].intersect(cut) for i in live]
-    overlap_interior = has_interior_many(overlaps, solver, eps=interior_eps)
+    # Fast path: cuts that miss a base entirely leave it unchanged.  A
+    # certified overlap needs no LP: the base is clipped.
+    balls = {i: _ball_certificates(bases[i], cut) for i in live}
+    undecided = [i for i in live
+                 if balls[i] is None or balls[i][1] <= cert]
+    overlap_interior = dict(zip(undecided, has_interior_many(
+        [bases[i].intersect(cut) for i in undecided], solver,
+        eps=interior_eps)))
     clipped: list[int] = []
-    for i, interior in zip(live, overlap_interior):
-        if interior:
+    for i in live:
+        if overlap_interior.get(i, True):
             clipped.append(i)
         else:
             results[i] = [bases[i]]
     # Candidate pieces of every clipped base, in the scalar path's order:
     # piece_k keeps the points violating cut constraint k while satisfying
-    # constraints 0..k-1.  Construction is LP-free; one batched interior
-    # pass decides which candidates survive.
+    # constraints 0..k-1.  Construction is LP-free; ball certificates and
+    # one batched interior pass decide which candidates survive.
     candidates: list[ConvexPolytope] = []
+    certified: list[bool] = []
     spans: list[tuple[int, int, int]] = []  # (base index, start, stop)
     halves = _cut_halves(cut) if clipped else []
     for i in clipped:
         start = len(candidates)
         prefix = bases[i]
-        for row, negation in halves:
-            candidates.append(prefix.with_rows(*negation))
+        for k, (row, negation) in enumerate(halves):
+            piece = prefix.with_rows(*negation)
+            known = balls[i] is not None and balls[i][2][k] > cert
+            if known:
+                center, __, radii = balls[i]
+                piece._ball = (center, float(radii[k]))
+                piece._empty_cache = False
+            certified.append(known)
+            candidates.append(piece)
             prefix = prefix.with_rows(*row)
         spans.append((i, start, len(candidates)))
-    keep = has_interior_many(candidates, solver, eps=interior_eps)
+    uncertified = [poly for poly, known in zip(candidates, certified)
+                   if not known]
+    interior = iter(has_interior_many(uncertified, solver,
+                                      eps=interior_eps))
+    keep = [known or next(interior) for known in certified]
     for i, start, stop in spans:
         results[i] = [candidates[k] for k in range(start, stop) if keep[k]]
     return [pieces if pieces is not None else [] for pieces in results]

@@ -3,10 +3,13 @@
 A :class:`ConvexPolytope` is the intersection of finitely many closed
 halfspaces (Figure 3 in the paper).  This is the representation PWL-RRPA
 uses for linear regions of cost functions, dominance regions and relevance
-region cutouts.  All non-trivial predicates (emptiness, containment,
+region cutouts.  Non-trivial predicates (emptiness, containment,
 redundancy) are decided by linear programs routed through a
 :class:`repro.lp.LinearProgramSolver`, so they are counted in the LP
-statistics — reproducing the paper's "#solved linear programs" metric.
+statistics — reproducing the paper's "#solved linear programs" metric —
+unless a witness already in hand settles them: a polytope that knows an
+inscribed ball (:meth:`ConvexPolytope.known_ball`) is non-empty without
+an LP.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class ConvexPolytope:
     """
 
     __slots__ = ("dim", "_a", "_b", "_keys", "_infeasible", "_constraints",
-                 "_empty_cache", "_cheb_cache", "vertex_hint", "cell_tag")
+                 "_empty_cache", "_cheb_cache", "_ball", "vertex_hint",
+                 "cell_tag")
 
     def __init__(self, dim: int,
                  constraints: Iterable[LinearConstraint] = (), *,
@@ -114,6 +118,10 @@ class ConvexPolytope:
         self._constraints: tuple[LinearConstraint, ...] | None = None
         self._empty_cache: bool | None = None
         self._cheb_cache: tuple[np.ndarray | None, float] | None = None
+        #: A certified inscribed ball ``(center, radius lower bound)``
+        #: attached by constructors that proved one without an LP (see
+        #: :func:`repro.geometry.difference.subtract_polytope_many`).
+        self._ball: tuple[np.ndarray, float] | None = None
         a, b = (_constraint_rows(self.dim, constraints) if rows is None
                 else rows)
         if a.ndim != 2 or a.shape[1] != self.dim:
@@ -248,15 +256,33 @@ class ConvexPolytope:
         """``True`` if any stored constraint is syntactically infeasible."""
         return self._infeasible
 
+    def known_ball(self) -> tuple[np.ndarray, float] | None:
+        """An inscribed ball ``(center, radius)`` known without a new LP.
+
+        The cached Chebyshev ball when its radius is finite and above
+        :data:`INTERIOR_EPS`, else the certified ball a constructor
+        attached, else ``None``.  Either one proves the polytope
+        non-empty.
+        """
+        if self._cheb_cache is not None:
+            center, radius = self._cheb_cache
+            if INTERIOR_EPS < radius < np.inf:
+                return center, radius
+        return self._ball
+
     def is_empty(self, solver: LinearProgramSolver,
                  tol: float = GEOMETRY_EPS) -> bool:
-        """Decide emptiness via a feasibility LP (result cached)."""
+        """Decide emptiness (result cached).
+
+        A known inscribed ball answers "non-empty" without an LP;
+        otherwise a feasibility LP decides.
+        """
         if self._empty_cache is not None:
             return self._empty_cache
         if self._infeasible:
             self._empty_cache = True
             return True
-        if not self.num_constraints:
+        if not self.num_constraints or self.known_ball() is not None:
             self._empty_cache = False
             return False
         result = solver.solve(np.zeros(self.dim), self._a, self._b,

@@ -46,6 +46,23 @@ except ImportError:  # pragma: no cover
 #: per-problem scalar path.
 MIN_STACK_GROUP = 8
 
+#: Largest row violation ``max(a_ub @ x - b_ub)`` a hand-written simplex
+#: "optimal" answer may carry.  Beyond it the answer is rejected: the
+#: scalar path raises :class:`SolverError` (``hybrid`` then asks HiGHS)
+#: and the stacked path hands the problem to the scalar fallback.  The
+#: geometry layer trusts optimal points as witnesses (a Chebyshev center
+#: proves its polytope non-empty), so an infeasible "optimum" would turn
+#: into a wrong answer rather than a wasted LP.
+RESIDUAL_TOL = 1e-7
+
+
+def _violates_rows(a_ub: np.ndarray | None, b_ub: np.ndarray | None,
+                   x: np.ndarray) -> bool:
+    """Whether ``x`` breaks a row of ``a_ub @ x <= b_ub`` beyond
+    :data:`RESIDUAL_TOL`."""
+    return a_ub is not None and bool(
+        (a_ub @ x - b_ub).max() > RESIDUAL_TOL)
+
 
 def stack_prekey(c: np.ndarray, a_ub: np.ndarray | None, bounds) -> tuple:
     """Conversion-free stacking pre-key of one prepared LP.
@@ -450,6 +467,14 @@ class LinearProgramSolver:
                 leftover.extend(members)
                 continue
             report = solve_simplex_batch([forms[i] for i in members])
+            for position, index in enumerate(members):
+                res = report.results[position]
+                if (res is not None and res.status == "optimal"
+                        and _violates_rows(prepared[index][1],
+                                           prepared[index][2], res.x)):
+                    # An infeasible "optimum" is a straggler: the scalar
+                    # path re-solves it (and rejects it the same way).
+                    report.results[position] = None
             solved = [(i, res) for i, res in zip(members, report.results)
                       if res is not None]
             fallbacks = [i for i, res in zip(members, report.results)
@@ -544,4 +569,6 @@ class LinearProgramSolver:
 
     def _solve_simplex(self, c, a_ub, b_ub, bounds) -> LPResult:
         res = solve_simplex(c, a_ub, b_ub, bounds)
+        if res.status == "optimal" and _violates_rows(a_ub, b_ub, res.x):
+            raise SolverError("simplex optimum violates a constraint row")
         return LPResult(res.status, res.x, res.objective)

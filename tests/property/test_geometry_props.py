@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
+from scipy.optimize import linprog
 
 from repro.errors import DimensionMismatchError
 from repro.geometry import (GEOMETRY_EPS, ConvexPolytope, LinearConstraint,
                             RelevanceRegion, box_simplices,
-                            subtract_polytope, subtract_polytopes)
+                            subtract_polytope, subtract_polytope_many,
+                            subtract_polytopes)
 from repro.geometry.difference import _cut_halves
 from repro.lp import LinearProgramSolver, LPStats
 
@@ -247,6 +250,129 @@ class TestSubtractionProperties:
     def test_subtracting_base_from_itself(self, box):
         solver = fresh_solver()
         assert subtract_polytope(box, box, solver) == []
+
+
+# ----------------------------------------------------------------------
+# Ball certificates of subtract_polytope_many against the LP-decided
+# scalar subtract_polytope.  Box corners sit on a coarse grid and cut rows
+# pass through a finer one, so ball centers often lie exactly on cut rows
+# and certificate radii often are exactly zero.
+# ----------------------------------------------------------------------
+
+CORNERS = (0.0, 0.5, 1.0)
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+NORMALS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+           (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+
+
+@st.composite
+def halfspaces(draw):
+    """``a @ x <= a @ p`` for a grid point ``p``: a row through ``p``."""
+    a = np.array(draw(st.sampled_from(NORMALS)))
+    p = np.array([draw(st.sampled_from(GRID)), draw(st.sampled_from(GRID))])
+    return a, float(a @ p)
+
+
+@st.composite
+def seeded_bases(draw):
+    """A box (optionally clipped by one row) and how its ball is seeded.
+
+    ``seed`` is ``"none"`` (no ball), ``"lp"`` (the cached Chebyshev ball
+    of an LP) or ``"exact"`` (the box's own inscribed ball, set by hand
+    with a dyadic center and radius).
+    """
+    lows, highs = [], []
+    for __ in range(2):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(CORNERS), min_size=2,
+                                      max_size=2, unique=True)))
+        lows.append(lo)
+        highs.append(hi)
+    clip = draw(st.one_of(st.none(), halfspaces()))
+    seed = draw(st.sampled_from(("none", "lp", "exact")))
+    if clip is not None and seed == "exact":
+        seed = "lp"
+    return lows, highs, clip, seed
+
+
+def build_base(lows, highs, clip):
+    box = ConvexPolytope.box(lows, highs)
+    return box if clip is None else box.with_halfspace(*clip)
+
+
+@st.composite
+def cuts(draw):
+    cut = ConvexPolytope.universe(2)
+    for a, b in draw(st.lists(halfspaces(), min_size=1, max_size=4)):
+        cut = cut.with_halfspace(a, b)
+    return cut
+
+
+def cut_of(*rows):
+    cut = ConvexPolytope.universe(2)
+    for a, b in rows:
+        cut = cut.with_halfspace(a, b)
+    return cut
+
+
+#: The unit square with its exact inscribed ball.
+UNIT = ([0.0, 0.0], [1.0, 1.0], None, "exact")
+
+
+def highs_radius(poly):
+    a_ext = np.hstack([poly._a, np.ones((poly.num_constraints, 1))])
+    res = linprog([0.0, 0.0, -1.0], A_ub=a_ext, b_ub=poly._b,
+                  bounds=[(None, None)] * 3, method="highs")
+    if res.status == 2:
+        return -np.inf
+    assert res.status == 0
+    return float(res.x[-1])
+
+
+def piece_bits(pieces):
+    return [(p._a.tobytes(), p._b.tobytes(), p._keys) for p in pieces]
+
+
+class TestBallCertificates:
+    """``subtract_polytope_many``'s certificates never change a piece."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(seeded_bases(), min_size=1, max_size=3), cuts())
+    # Three cut rows through the center: piece 2 is the single point
+    # (0.5, 0.5), its certificate radius is exactly zero.
+    @example([UNIT], cut_of(((1, 0), 0.5), ((0, 1), 0.5), ((1, 1), 1.0)))
+    # A zero-width cut through the center: no overlap interior.
+    @example([UNIT], cut_of(((1, 0), 0.5), ((-1, 0), -0.5)))
+    # The center lies beyond both cut rows: only piece 0 holds the ball.
+    @example([UNIT], cut_of(((1, 0), 0.25), ((0, 1), 0.25)))
+    def test_certified_pieces_match_scalar_oracle(self, monkeypatch, specs,
+                                                  cut):
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
+        solver = fresh_solver()
+        bases = []
+        for lows, highs, clip, seed in specs:
+            base = build_base(lows, highs, clip)
+            if seed == "lp":
+                base.chebyshev(solver)
+            elif seed == "exact":
+                center = 0.5 * (np.array(lows) + np.array(highs))
+                base._ball = (center, 0.5 * min(np.subtract(highs, lows)))
+            bases.append(base)
+        got = subtract_polytope_many(bases, cut, solver)
+        oracle = [subtract_polytope(build_base(lows, highs, clip), cut,
+                                    fresh_solver())
+                  for lows, highs, clip, __ in specs]
+        assert [piece_bits(pieces) for pieces in got] == \
+            [piece_bits(pieces) for pieces in oracle]
+        for piece in (p for pieces in got for p in pieces):
+            if piece._ball is None:
+                continue
+            center, radius = piece._ball
+            # The ball lies inside the piece ...
+            assert (piece._a @ center + radius <= piece._b + 1e-7).all()
+            # ... and is no larger than the piece's largest ball.
+            assert radius <= highs_radius(piece) + 1e-9
+            assert piece.is_empty(solver) is False
 
 
 class TestRelevanceRegionProperties:

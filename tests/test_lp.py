@@ -160,6 +160,69 @@ class TestLinearProgramSolver:
         assert res.x[0] == pytest.approx(2.0)
 
 
+#: A thin sliver with no interior (HiGHS: Chebyshev radius -0.00276) on
+#: which the hand-written simplex reports an "optimal" radius of +0.0113
+#: at a point that breaks a row by 0.018.
+SLIVER_A = np.array([
+    [0.0, 1.0], [0.7071067811865476, -0.7071067811865476], [-1.0, 0.0],
+    [0.9932025939535459, -0.11639848523046935],
+    [0.9999711989837005, -0.007589545645205183],
+    [0.9960088021502914, -0.08925506170039657],
+    [-0.9999999813081482, -0.00019334865747623159],
+    [-0.9999999335189679, -0.0003646396301716154]])
+SLIVER_B = np.array([
+    1.0, -0.3535533905932738, 0.0, 0.0578402988874718,
+    -0.0033050746345227124, -0.08412211130704735,
+    -0.0008919727925669243, -0.010199709934870349])
+
+
+def highs_chebyshev(a, b):
+    from scipy.optimize import linprog
+
+    a_ext = np.hstack([a, np.ones((a.shape[0], 1))])
+    res = linprog([0.0, 0.0, -1.0], A_ub=a_ext, b_ub=b,
+                  bounds=[(None, None)] * 3, method="highs")
+    assert res.status == 0
+    return res.x[:2], float(res.x[-1])
+
+
+class TestSimplexResidualCheck:
+    """A simplex "optimum" that breaks a row is never returned."""
+
+    def test_chebyshev_agrees_with_highs(self):
+        from repro.geometry import ConvexPolytope
+
+        poly = ConvexPolytope(2, rows=(SLIVER_A, SLIVER_B))
+        solver = LinearProgramSolver(stats=LPStats())
+        center, radius = poly.chebyshev(solver)
+        ref_center, ref_radius = highs_chebyshev(SLIVER_A, SLIVER_B)
+        assert radius == pytest.approx(ref_radius, abs=1e-7)
+        assert center == pytest.approx(ref_center, abs=1e-6)
+        assert not poly.has_interior(solver)
+
+    def test_simplex_backend_raises(self):
+        a_ext = np.hstack([SLIVER_A, np.ones((8, 1))])
+        solver = LinearProgramSolver(stats=LPStats(), backend="simplex")
+        with pytest.raises(SolverError):
+            solver.solve([0.0, 0.0, -1.0], a_ext, SLIVER_B)
+
+    def test_stacked_answer_becomes_a_straggler(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALAR_KERNELS", "")
+        from repro.lp.solver import MIN_STACK_GROUP
+
+        a_ext = np.hstack([SLIVER_A, np.ones((8, 1))])
+        stats = LPStats()
+        solver = LinearProgramSolver(stats=stats)
+        results = solver.solve_many(
+            [([0.0, 0.0, -1.0], a_ext, SLIVER_B, None)] * MIN_STACK_GROUP,
+            purpose="chebyshev")
+        __, ref_radius = highs_chebyshev(SLIVER_A, SLIVER_B)
+        for result in results:
+            assert result.x[-1] == pytest.approx(ref_radius, abs=1e-7)
+        assert stats.batch_fallbacks == MIN_STACK_GROUP
+        assert stats.solved == MIN_STACK_GROUP
+
+
 class TestLPStats:
     def test_merge(self):
         a, b = LPStats(), LPStats()

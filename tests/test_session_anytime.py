@@ -32,8 +32,11 @@ def make_query(seed: int = 0, num_tables: int = 4):
 
 
 #: LP budget that lands mid-ladder for the 4-table chain query above:
-#: enough for the coarse rungs, not for the exact one.
-MID_LADDER_LPS = 150
+#: enough for the coarse rungs, not for the exact one.  Unbudgeted, the
+#: default ladder (0.5, 0.2, 0.05, 0.0) completes its rungs after 3, 50,
+#: 159 and 508 cumulative LPs for seed 7 and after 20, 49, 87 and 414
+#: for seed 13 (whose exact rung passes a step boundary at 120).
+MID_LADDER_LPS = 100
 
 
 def _hung_anytime(payload):
@@ -398,11 +401,15 @@ class TestWarmStartAlphaTags:
 class TestLpMemoMergeBack:
     def test_pooled_deltas_merge_into_session_memo(self):
         """Satellite: worker LP-memo deltas flow back to the session."""
-        queries = [make_query(seed=s, num_tables=3) for s in range(3)]
+        # The second batch's query (seed 3) still solves LPs the first
+        # batch did not; seed 2's are all memo hits or ball-certified,
+        # so it would ship back no delta.
+        queries = [make_query(seed=s, num_tables=3) for s in (0, 1, 3)]
         with OptimizerSession("cloud", workers=2,
                               warm_start=False) as session:
             session.map(queries[:2])
             assert session.lp_memo_merges > 0
+            merges_first = session.lp_memo_merges
             merged_first = session.lp_memo_merged_entries
             assert merged_first > 0
             assert len(session.lp_memo) > 0
@@ -411,7 +418,7 @@ class TestLpMemoMergeBack:
             # is already up — but its results keep merging deltas and the
             # counters keep showing the cross-batch picture.
             session.map(queries[2:])
-            assert session.lp_memo_merges > 2
+            assert session.lp_memo_merges > merges_first
             assert session.lp_memo_merged_entries >= merged_first
             assert session.lp_cache_hits_total >= hits_first
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import optimize_query
 from repro.core import PWLRRPAOptions, encode_result
 from repro.core.serialize import _encode_polytope
-from repro.cost import batch_dominance_aligned
+from repro.cost import (LinearPiece, MultiObjectivePWL,
+                        PiecewiseLinearFunction, batch_dominance_aligned)
+from repro.geometry import ConvexPolytope
 from repro.lp import LinearProgramSolver, LPStats
 from repro.query import QueryGenerator
 
@@ -83,6 +86,52 @@ class TestBatchMatchesScalar:
         other = _aligned_costs(0, num_tables=2)[0]
         solver = LinearProgramSolver(stats=LPStats())
         assert batch_dominance_aligned([other], chain, solver) is None
+
+
+def _triangle_costs():
+    """Two aligned costs on one simplex cell whose dominance region is a
+    mixed-cell candidate the centroid misses but a vertex witnesses.
+
+    On the cell with vertices (0,0), (1,0), (0,1), ``a`` dominates ``b``
+    where ``x0 <= 0.2`` (time) and ``x1 <= 0.2`` (fees): each condition
+    holds at some vertices and fails at others, the centroid (1/3, 1/3)
+    fails both, and the vertex (0, 0) satisfies both.
+    """
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cell = ConvexPolytope.from_arrays([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                      [0.0, 0.0, 1.0])
+    cell.vertex_hint = verts
+
+    def cost(time_w, time_b, fees_w, fees_b):
+        return MultiObjectivePWL({
+            "time": PiecewiseLinearFunction(
+                2, [LinearPiece(cell, time_w, time_b)], "tri"),
+            "fees": PiecewiseLinearFunction(
+                2, [LinearPiece(cell, fees_w, fees_b)], "tri")})
+
+    a = cost([1.0, 0.0], 0.0, [0.0, 1.0], 0.0)
+    b = cost([0.0, 0.0], 0.2, [0.0, 0.0], 0.2)
+    return a, b, verts
+
+
+class TestVertexWitness:
+    """A cell vertex inside the candidate proves it non-empty, no LP."""
+
+    def test_mixed_cell_decided_by_a_vertex(self):
+        a, b, verts = _triangle_costs()
+        # The premise: the centroid is outside, a vertex inside.
+        general = a._dominance_general(b, LinearProgramSolver(
+            stats=LPStats()))
+        assert len(general) == 1
+        assert not general[0].contains_point(verts.mean(axis=0))
+        assert general[0].contains_point(verts[0])
+        stats = LPStats()
+        solver = LinearProgramSolver(stats=stats)
+        scalar = a.dominance_polytopes(b, solver)
+        batch = batch_dominance_aligned([a], b, solver)
+        assert stats.solved == 0
+        assert _polys_key(scalar) == _polys_key(general)
+        assert _polys_key(batch[0]) == _polys_key(general)
 
 
 class TestFullRunsBitIdentical:
